@@ -97,6 +97,8 @@ class RoundEngine {
   int classes_;
   std::vector<double> weights_;  // scratch: up to 2*k*classes+1 event weights
   std::vector<double> weighted_counts_;  // scratch: k degree-weighted counts
+  std::vector<std::uint64_t> events_;  // scratch: multinomial draws, sized
+                                       // like weights_
 };
 
 }  // namespace kusd::core

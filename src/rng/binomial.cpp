@@ -1,5 +1,6 @@
 #include "rng/binomial.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstddef>
@@ -137,6 +138,33 @@ void batch_draw(std::span<Rng* const> rngs, std::span<const std::uint64_t> ns,
 }
 
 }  // namespace
+
+// Rng's multinomial lives here rather than in rng.cpp so its
+// conditional-binomial chain compiles with this unit's sampler flags and
+// inlines detail::binomial_draw: the tau-leap engines spend most of a
+// trial in this loop, one draw per event family per chunk.
+void Rng::multinomial_into(std::uint64_t n, std::span<const double> weights,
+                           std::span<std::uint64_t> out) {
+  KUSD_CHECK_MSG(out.size() == weights.size(),
+                 "multinomial output size must match the weight count");
+  std::fill(out.begin(), out.end(), 0);
+  double remaining_weight = 0.0;
+  for (double w : weights) {
+    KUSD_CHECK_MSG(w >= 0.0, "multinomial weight must be non-negative");
+    remaining_weight += w;
+  }
+  std::uint64_t remaining = n;
+  for (std::size_t i = 0; i + 1 < weights.size() && remaining > 0; ++i) {
+    if (remaining_weight <= 0.0) break;
+    const double p = std::min(1.0, weights[i] / remaining_weight);
+    KUSD_CHECK_MSG(p >= 0.0 && p <= 1.0, "binomial probability out of range");
+    const std::uint64_t draw = detail::binomial_draw(*this, remaining, p);
+    out[i] = draw;
+    remaining -= draw;
+    remaining_weight -= weights[i];
+  }
+  if (!weights.empty()) out.back() += remaining;
+}
 
 double log_factorial(std::uint64_t k) {
   return detail::log_factorial(k);

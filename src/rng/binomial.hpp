@@ -22,6 +22,22 @@
 // All samplers are exact-distribution (rejection, not approximation); the
 // only inexactness is ~1e-12 relative error in the log-pmf used by BTRS's
 // accept test, far below KS detectability (pinned by tests/test_rng.cpp).
+//
+// BTRS's own squeeze settles ~86% of candidates; the rest reach the
+// accept test (detail::btrs_accept), which first tries BTPE's log-bound
+// squeeze (Kachitvichyanukul & Schmeiser 1988, step 5.3): for
+// j = |k - m| < npq/2 - 1, ln(pmf(k)/pmf(m)) lies within rho of
+// -j^2/(2 npq), so one log of the candidate's hat ratio settles almost
+// every miss. Only a candidate inside that band, widened by a margin,
+// runs the exact test (a product of up to 64 pmf ratios near the mode,
+// four log-factorials beyond). The margin bounds the floating-point error
+// of both the squeeze and the exact test: 1e-12 (1 + j), plus
+// 64 eps n ln n where the exact test cancels log-factorials of size
+// n ln n. So the squeeze only ever decides the way the exact test would,
+// and every draw, stream position and output byte is what the sampler
+// produced before the squeeze existed. The scalar sampler, the SIMD lane
+// kernels and the shared-schedule batch all decide through btrs_accept,
+// so they stay bit-identical to each other as well.
 #pragma once
 
 #include <cstdint>

@@ -264,13 +264,77 @@ struct BtrsSlowTerms {
   bool ready = false;
 };
 
-/// Squeeze-miss accept test: compares v against the exact pmf ratio —
-/// multiplicatively when the candidate is near the mode (the
-/// overwhelmingly common miss at small spq, where the squeeze is
-/// weakest), in the log domain otherwise. Consumes no randomness, so the
-/// lane kernels run it scalar per lane without touching any stream.
-inline bool btrs_accept(const BtrsSetup& setup, std::uint64_t n, double v,
-                        double us, double kd, BtrsSlowTerms& slow) {
+/// Outcome of the log-bound squeeze: settled either way, or left to the
+/// exact test.
+enum class Squeeze { kAccept, kReject, kUndecided };
+
+/// Upper bound on ln(dn) for dn >= 1 from the exponent field alone:
+/// dn < 2^(e+1) gives ln(dn) < (e + 1) ln 2, with no libm call.
+inline double log_upper(double dn) {
+  const auto e = static_cast<int>(std::bit_cast<std::uint64_t>(dn) >> 52) -
+                 1022;  // unbiased exponent + 1
+  return static_cast<double>(e) * 0.6931471805599453;
+}
+
+/// Additive slack that keeps the squeeze's decisions identical to the
+/// exact test's. The exact test is not exact: it decides on a computed
+/// ln(pmf(k)/pmf(m)) whose error the squeeze must not undercut. With
+/// eps = 2^-52 and j = |k - m|:
+///  * j-proportional terms, shared by both tests: ln(p/q) through the
+///    rounded p/q and log_pos (~1e2 eps per unit of j, |ln(p/q)| < 45
+///    for np >= 10 at n < 2^64), the near-mode product (~5 eps per
+///    factor, at most 64 factors), the squeeze's own t and rho (~10 eps
+///    relative, both below j) and a mode m = floor((dn + 1) p) that
+///    rounding can move across an integer (~2 eps per unit of j). All of
+///    it sits far below 1e-12 * (1 + j).
+///  * the log-factorial test alone: ln m! + ln(n-m)! - ln k! - ln(n-k)!
+///    cancels four terms of size up to n ln n, each carrying a few eps
+///    of relative error (Stirling body, log_pos, the rounding of n - k to
+///    a double above 2^53) plus the sums' roundings: ~14 eps n ln n in
+///    all, taken at 64 eps n ln n. At n = 2.5e7 this is 6e-6; at 1e12 it
+///    reaches 0.4, where the squeeze mostly defers to the exact test.
+/// The near-mode product never touches a log-factorial, so it skips the
+/// n ln n term and keeps the squeeze's band tight at large n.
+inline double btrs_squeeze_margin(double dn, double j, bool near_mode) {
+  constexpr double kEps = std::numeric_limits<double>::epsilon();
+  const double linear = 1e-12 * (1.0 + j);
+  return near_mode ? linear : linear + 64.0 * kEps * dn * log_upper(dn);
+}
+
+/// BTPE's log-bound squeeze (Kachitvichyanukul & Schmeiser, CACM 31(2),
+/// 1988, step 5.3): for j = |k - m| < npq/2 - 1,
+///   |ln(pmf(k)/pmf(m)) + j^2/(2 npq)| <= rho,
+///   rho = (j/npq) ((j (j/3 + 0.625) + 1/6)/npq + 0.5),
+/// so one log of the candidate's hat ratio settles almost every
+/// squeeze-miss candidate without the product or the four log-factorials.
+/// Widened on both sides by btrs_squeeze_margin, it only ever decides
+/// where the exact test would decide the same way. Consumes no randomness.
+inline Squeeze btrs_squeeze(const BtrsSetup& setup, double v, double us,
+                            double kd) {
+  const double npq = setup.spq * setup.spq;
+  const double j = std::abs(kd - setup.m);
+  if (j >= 0.5 * npq - 1.0) return Squeeze::kUndecided;
+  const double inv_npq = 1.0 / npq;
+  const double rho = (j * inv_npq) *
+                     ((j * (j * (1.0 / 3.0) + 0.625) + 1.0 / 6.0) * inv_npq +
+                      0.5);
+  const double t = -(j * j) * (0.5 * inv_npq);
+  const double alpha = (2.83 + 5.1 / setup.b) * setup.spq;
+  const double lhs = log_pos(v * alpha / (setup.a / (us * us) + setup.b));
+  const double slack =
+      rho + btrs_squeeze_margin(setup.dn, j, j <= kNearModeWindow);
+  if (lhs < t - slack) return Squeeze::kAccept;
+  if (lhs > t + slack) return Squeeze::kReject;
+  return Squeeze::kUndecided;
+}
+
+/// The exact squeeze-miss accept test: compares v against the exact pmf
+/// ratio — multiplicatively when the candidate is near the mode (the
+/// common miss at small spq, where the squeeze is weakest), in the log
+/// domain otherwise. Consumes no randomness.
+inline bool btrs_exact_accept(const BtrsSetup& setup, std::uint64_t n,
+                              double v, double us, double kd,
+                              BtrsSlowTerms& slow) {
   const auto k = static_cast<std::uint64_t>(kd);
   if (std::abs(kd - setup.m) <= kNearModeWindow) {
     // Accept iff v * alpha / (a/us^2 + b) <= pmf(k)/pmf(m); build the
@@ -301,6 +365,25 @@ inline bool btrs_accept(const BtrsSetup& setup, std::uint64_t n, double v,
   const double rhs = slow.h - log_factorial(k) - log_factorial(n - k) +
                      (kd - setup.m) * slow.log_ratio;
   return lhs <= rhs;
+}
+
+/// Squeeze-miss accept test: the log-bound squeeze first, the exact test
+/// for the few candidates it leaves undecided. Every sampler path (the
+/// scalar draw, the lane kernels, the shared-schedule batch) decides
+/// here, so all of them stay bit-identical to each other — and, since
+/// the squeeze only ever agrees with the exact test, to the sampler
+/// before the squeeze existed.
+inline bool btrs_accept(const BtrsSetup& setup, std::uint64_t n, double v,
+                        double us, double kd, BtrsSlowTerms& slow) {
+  switch (btrs_squeeze(setup, v, us, kd)) {
+    case Squeeze::kAccept:
+      return true;
+    case Squeeze::kReject:
+      return false;
+    case Squeeze::kUndecided:
+      break;
+  }
+  return btrs_exact_accept(setup, n, v, us, kd, slow);
 }
 
 /// Hörmann's BTRS transformed-rejection sampler (np >= 10, p <= 0.5):

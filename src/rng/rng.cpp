@@ -1,6 +1,5 @@
 #include "rng/rng.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "rng/binomial.hpp"
@@ -35,28 +34,6 @@ std::uint64_t Rng::geometric_failures(double p) {
 
 std::uint64_t Rng::binomial(std::uint64_t n, double p) {
   return rng::binomial(*this, n, p);
-}
-
-void Rng::multinomial_into(std::uint64_t n, std::span<const double> weights,
-                           std::span<std::uint64_t> out) {
-  KUSD_CHECK_MSG(out.size() == weights.size(),
-                 "multinomial output size must match the weight count");
-  std::fill(out.begin(), out.end(), 0);
-  double remaining_weight = 0.0;
-  for (double w : weights) {
-    KUSD_CHECK_MSG(w >= 0.0, "multinomial weight must be non-negative");
-    remaining_weight += w;
-  }
-  std::uint64_t remaining = n;
-  for (std::size_t i = 0; i + 1 < weights.size() && remaining > 0; ++i) {
-    if (remaining_weight <= 0.0) break;
-    const double p = std::min(1.0, weights[i] / remaining_weight);
-    const std::uint64_t draw = binomial(remaining, p);
-    out[i] = draw;
-    remaining -= draw;
-    remaining_weight -= weights[i];
-  }
-  if (!weights.empty()) out.back() += remaining;
 }
 
 std::vector<std::uint64_t> Rng::multinomial(std::uint64_t n,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <ostream>
 #include <vector>
 
 #include "core/dynamics.hpp"
@@ -107,6 +108,19 @@ TEST_P(DynamicsConvergence, ReachesConsensusOnSmallPopulations) {
   }
   EXPECT_EQ(converged, 10);
 }
+
+}  // namespace
+
+namespace core {
+// Print a dynamics parameter by name. The default printout is the pointer,
+// which moves with the load address, and the discovered test names are
+// built from it, so they would differ from one build to the next.
+void PrintTo(const SamplingDynamics* dynamics, std::ostream* os) {
+  *os << dynamics->name();
+}
+}  // namespace core
+
+namespace {
 
 const core::VoterDynamics kVoter;
 const core::TwoChoicesDynamics kTwoChoices;

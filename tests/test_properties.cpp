@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "analysis/transition_probs.hpp"
@@ -40,15 +41,18 @@ Configuration random_config(rng::Rng& rng, Count n, int k) {
   return Configuration(std::move(counts), undecided);
 }
 
+// No padding bytes: the default case name prints the object's bytes, and
+// padding would put uninitialised memory into it.
 struct SweepParam {
   Count n = 0;
-  int k = 0;
+  std::int64_t k = 0;
 };
 
 class RandomConfigSweep : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(RandomConfigSweep, AnalysisIdentitiesHold) {
-  const auto [n, k] = GetParam();
+  const Count n = GetParam().n;
+  const int k = static_cast<int>(GetParam().k);
   rng::Rng rng(0xABCD + n + static_cast<Count>(k));
   for (int round = 0; round < 200; ++round) {
     const auto x = random_config(rng, n, k);
@@ -115,7 +119,8 @@ TEST_P(RandomConfigSweep, UStarDriftDirection) {
   // Above u* the conditional probability of u increasing is < 1/2 for
   // uniform-support configurations (Observation 7 direction); below u* on
   // uniform supports it is > 1/2. This is the "unstable equilibrium".
-  const auto [n, k] = GetParam();
+  const Count n = GetParam().n;
+  const int k = static_cast<int>(GetParam().k);
   if (k < 2) return;
   const double ustar = analysis::u_star(n, k);
   const auto above = Configuration::uniform(

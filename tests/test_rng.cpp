@@ -5,6 +5,8 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <span>
@@ -12,6 +14,7 @@
 #include <vector>
 
 #include "rng/binomial.hpp"
+#include "rng/binomial_detail.hpp"
 #include "rng/rng.hpp"
 #include "util/check.hpp"
 
@@ -395,6 +398,265 @@ TEST(Rng, MultinomialIntoMatchesMultinomial) {
   b.multinomial_into(10000, weights, into);
   EXPECT_EQ(vec, into);
   EXPECT_EQ(a.next_u64(), b.next_u64());
+}
+
+// ---- Golden sampler pin ----
+
+/// FNV-1a over the little-endian bytes of 64-bit words.
+class Fnv1a {
+ public:
+  void add(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (word >> (8 * byte)) & 0xFFu;
+      hash_ *= 0x100000001B3ULL;
+    }
+  }
+  void add_state(const rng::Rng& rng) {
+    for (const std::uint64_t word : rng.state()) add(word);
+  }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xCBF29CE484222325ULL;
+};
+
+TEST(Binomial, GoldenSamplerPin) {
+  // One hash over the draws and final stream state of a fixed corpus that
+  // touches every sampler path. Any change to a draw, to the number of
+  // uniforms a draw consumes, or to multinomial_into's conditional chain
+  // changes the hash. The constant was recorded before the BTRS squeeze
+  // existed: the squeeze must decide exactly as the exact accept test.
+  Fnv1a hash;
+  struct Case {
+    std::uint64_t n;
+    double p;
+    int draws;
+  };
+  const std::uint64_t near_max = (std::uint64_t{1} << 63) - 25;
+  const std::array<Case, 14> cases = {{
+      {0, 0.5, 4},            // degenerate: n == 0
+      {17, 0.0, 4},           // degenerate: p == 0
+      {17, 1.0, 4},           // degenerate: p == 1
+      {50, 0.1, 3000},        // BINV
+      {1'000'000, 5e-6, 3000},  // BINV, tiny p
+      {40, 0.9, 3000},        // BINV, reflected
+      {1000, 0.3, 6000},      // BTRS, small spq: misses near the mode
+      {200, 0.25, 6000},      // BTRS, spq ~ 6: the whole body is near-mode
+      {1'000'000'000, 0.2, 6000},  // BTRS, misses in the log-domain tail
+      {25'000'000, 0.015, 6000},   // BTRS at the ref_point family scale
+      {100'000, 0.85, 6000},  // BTRS, reflected
+      {near_max, 3e-18, 3000},  // n near 2^63, near-mode BTRS
+      {near_max, 1e-9, 3000},   // n near 2^63, log-domain BTRS
+      {near_max, 1e-4, 3000},   // n near 2^63, np ~ 1e15
+  }};
+  rng::Rng rng(20261017);
+  for (const Case& c : cases) {
+    for (int i = 0; i < c.draws; ++i) hash.add(rng::binomial(rng, c.n, c.p));
+    hash.add_state(rng);
+  }
+
+  // multinomial_into at the ref_point shape: k = 32 opinions at n = 1e8,
+  // 2k + 1 = 65 event families (adopt, flip, no-op) and m ~ 2.5e7.
+  const std::size_t k = 32;
+  const double n = 1e8;
+  std::vector<double> weights(2 * k + 1);
+  std::vector<std::uint64_t> out(weights.size());
+  for (int call = 0; call < 200; ++call) {
+    const double undecided = 1e7 + 2e5 * call;
+    double decided = 0.0;
+    std::vector<double> x(k);
+    for (std::size_t j = 0; j < k; ++j) {
+      x[j] = (n - undecided) / static_cast<double>(k) *
+             (1.0 + 0.4 * std::sin(static_cast<double>(j * 7 + call)));
+      decided += x[j];
+    }
+    double productive = 0.0;
+    for (std::size_t j = 0; j < k; ++j) {
+      weights[j] = undecided * x[j];
+      weights[k + j] = x[j] * (decided - x[j]);
+      productive += weights[j] + weights[k + j];
+    }
+    weights[2 * k] = std::max(0.0, n * n - productive);
+    const auto m = static_cast<std::uint64_t>(2.5e7 * (1.0 + 0.01 * call));
+    rng.multinomial_into(m, weights, out);
+    for (const std::uint64_t draw : out) hash.add(draw);
+  }
+  hash.add_state(rng);
+
+  // multinomial_into at the graph_er shape: C = 37 degree classes, k = 4,
+  // 2 * C * k + 1 = 297 categories whose weights span six decades.
+  std::vector<double> class_weights(2 * 37 * 4 + 1);
+  std::vector<std::uint64_t> class_out(class_weights.size());
+  for (int call = 0; call < 100; ++call) {
+    for (std::size_t i = 0; i + 1 < class_weights.size(); ++i) {
+      class_weights[i] = std::pow(10.0, 10.0 + 6.0 * std::fabs(std::sin(
+                                                   static_cast<double>(
+                                                       i * 13 + call))));
+    }
+    class_weights.back() = 1e18;
+    const auto m = static_cast<std::uint64_t>(1e7 + 1e5 * call);
+    rng.multinomial_into(m, class_weights, class_out);
+    for (const std::uint64_t draw : class_out) hash.add(draw);
+  }
+  hash.add_state(rng);
+
+  EXPECT_EQ(hash.value(), 0x2DCD7978BA2B08A3ULL);
+}
+
+// ---- BTRS log-bound squeeze (binomial_detail.hpp) ----
+
+/// (n, p) pairs in the BTRS regime (np >= 10, p <= 0.5), n up to 1e12,
+/// with npq kept small enough that every offset j < npq/2 - 1 can be
+/// enumerated. Includes (n + 1)p integral, where the mode sits at the
+/// edge of its range and the bound is tightest.
+std::vector<std::pair<std::uint64_t, double>> squeeze_grid() {
+  std::vector<std::pair<std::uint64_t, double>> grid;
+  const std::array<std::uint64_t, 10> ns = {
+      20, 57, 99, 1000, 12'345, 1'000'000, 100'000'000, 2'147'483'647,
+      10'000'000'000, 1'000'000'000'000};
+  for (const std::uint64_t n : ns) {
+    const double dn = static_cast<double>(n);
+    for (const double mean :
+         {10.0, 13.7, 40.0, 255.5, 1000.0, 6000.0, 30000.0, 150000.0}) {
+      grid.emplace_back(n, mean / dn);
+    }
+    for (const double p : {0.5, 0.4999, 0.37, 0.25, 0.1, 0.013}) {
+      grid.emplace_back(n, p);
+    }
+    grid.emplace_back(n, std::floor(0.3 * (dn + 1.0)) / (dn + 1.0));
+  }
+  grid.emplace_back(99, 0.5);   // (n + 1)p = 50
+  grid.emplace_back(199, 0.25);  // (n + 1)p = 50
+  grid.emplace_back(399, 0.1);  // (n + 1)p = 40
+  std::vector<std::pair<std::uint64_t, double>> kept;
+  for (const auto& [n, p] : grid) {
+    const double npq = static_cast<double>(n) * p * (1.0 - p);
+    if (p <= 0.5 && static_cast<double>(n) * p >= rng::detail::kBtrsCutoff &&
+        npq <= 200000.0) {
+      kept.emplace_back(n, p);
+    }
+  }
+  return kept;
+}
+
+TEST(BinomialSqueeze, BoundHoldsAtEveryOffset) {
+  // |ln(pmf(m +- j)/pmf(m)) + j^2/(2 npq)| <= rho for every j < npq/2 - 1
+  // on both sides of the sampler's mode m. The exact log ratio is a
+  // long-double running sum of one-step pmf ratios
+  //   pmf(i)/pmf(i-1) = ((n - i + 1)/i) (p/q),
+  // accurate to ~1e-15 here — far inside the bound's smallest slack.
+  const auto grid = squeeze_grid();
+  ASSERT_GE(grid.size(), 50u);
+  std::uint64_t checked = 0;
+  long double min_slack = std::numeric_limits<long double>::infinity();
+  for (const auto& [n, p] : grid) {
+    const rng::detail::BtrsSetup setup = rng::detail::btrs_setup(n, p);
+    const long double npq =
+        static_cast<long double>(setup.spq) * setup.spq;
+    const long double log_pq = std::log(static_cast<long double>(p) /
+                                        (1.0L - static_cast<long double>(p)));
+    const auto m = static_cast<std::uint64_t>(setup.m);
+    const long double ln = static_cast<long double>(n);
+    for (const int side : {+1, -1}) {
+      long double log_ratio = 0.0L;
+      for (std::uint64_t j = 1;
+           static_cast<double>(j) < 0.5 * setup.spq * setup.spq - 1.0; ++j) {
+        if (side > 0) {
+          if (m + j > n) break;
+          const long double i = static_cast<long double>(m + j);
+          log_ratio += std::log((ln - i + 1.0L) / i) + log_pq;
+        } else {
+          if (j > m) break;
+          const long double i = static_cast<long double>(m - j + 1);
+          log_ratio -= std::log((ln - i + 1.0L) / i) + log_pq;
+        }
+        const long double jd = static_cast<long double>(j);
+        const long double rho =
+            (jd / npq) * ((jd * (jd / 3.0L + 0.625L) + 1.0L / 6.0L) / npq +
+                          0.5L);
+        const long double err = std::fabs(log_ratio + jd * jd / (2.0L * npq));
+        ASSERT_LE(err, rho) << "n=" << n << " p=" << p << " j=" << side * j;
+        min_slack = std::min(min_slack, (rho - err) / rho);
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GE(checked, 1'000'000u);
+  EXPECT_GT(min_slack, 0.0L);
+  std::printf("squeeze bound: %llu offsets, smallest slack %.3Lg rho\n",
+              static_cast<unsigned long long>(checked), min_slack);
+}
+
+TEST(BinomialSqueeze, DecisionsMatchTheExactTest) {
+  // Whenever the squeeze settles a candidate, the exact accept test must
+  // agree. Half the candidates are the sampler's own (u, v) draws; the
+  // other half place the hat ratio ln(v alpha / (a/us^2 + b)) uniformly
+  // within three squeeze half-widths of the bound's center, where the
+  // squeeze decides closest to the exact test's threshold.
+  std::vector<std::pair<std::uint64_t, double>> grid = squeeze_grid();
+  for (const auto& [n, p] : std::vector<std::pair<std::uint64_t, double>>{
+           {1'000'000'000'000, 0.3},
+           {1'000'000'000'000, 1e-7},
+           {(std::uint64_t{1} << 62) + 12345, 1e-9},
+           {25'000'000, 0.015},
+           {100'000'000, 0.2}}) {
+    grid.emplace_back(n, p);
+  }
+  rng::Rng rng(5006);
+  const int per_point = 2 * 1'000'000 / static_cast<int>(grid.size()) + 1;
+  std::uint64_t candidates = 0, decided_accept = 0, decided_reject = 0;
+  // Sampler-drawn candidates at the ref_point family scale that miss
+  // BTRS's own squeeze, and how many of those the log bound settles.
+  std::uint64_t paper_misses = 0, paper_settled = 0;
+  for (const auto& [n, p] : grid) {
+    const bool paper_scale = n == 25'000'000;
+    const rng::detail::BtrsSetup setup = rng::detail::btrs_setup(n, p);
+    rng::detail::BtrsSlowTerms slow;
+    const double npq = setup.spq * setup.spq;
+    const double alpha = (2.83 + 5.1 / setup.b) * setup.spq;
+    for (int i = 0; i < per_point; ++i) {
+      const double u = rng.uniform01() - 0.5;
+      double v = rng.uniform01();
+      const double us = 0.5 - std::abs(u);
+      const double kd =
+          std::floor((2.0 * setup.a / us + setup.b) * u + setup.c);
+      if (kd < 0.0 || kd > setup.dn) continue;
+      const double j = std::abs(kd - setup.m);
+      const bool adversarial = (i % 2) == 1;
+      if (adversarial) {
+        if (j >= 0.5 * npq - 1.0) continue;
+        const double rho =
+            (j / npq) * ((j * (j / 3.0 + 0.625) + 1.0 / 6.0) / npq + 0.5);
+        const double width =
+            rho + rng::detail::btrs_squeeze_margin(setup.dn, j,
+                                              j <= rng::detail::kNearModeWindow);
+        const double target = -(j * j) / (2.0 * npq) +
+                              3.0 * width * (2.0 * rng.uniform01() - 1.0);
+        v = std::exp(target) * (setup.a / (us * us) + setup.b) / alpha;
+        if (!(v > 0.0 && v < 1.0)) continue;
+      }
+      ++candidates;
+      const auto squeeze = rng::detail::btrs_squeeze(setup, v, us, kd);
+      const bool paper_miss =
+          paper_scale && !adversarial && !(us >= 0.07 && v <= setup.v_r);
+      paper_misses += paper_miss ? 1 : 0;
+      if (squeeze == rng::detail::Squeeze::kUndecided) continue;
+      paper_settled += paper_miss ? 1 : 0;
+      const bool exact = rng::detail::btrs_exact_accept(setup, n, v, us, kd, slow);
+      const bool accept = squeeze == rng::detail::Squeeze::kAccept;
+      ASSERT_EQ(accept, exact) << "n=" << n << " p=" << p << " kd=" << kd
+                               << " v=" << v << " us=" << us;
+      ++(accept ? decided_accept : decided_reject);
+    }
+  }
+  EXPECT_GE(candidates, 1'000'000u);
+  EXPECT_GT(decided_accept, 100'000u);
+  EXPECT_GT(decided_reject, 100'000u);
+  // The squeeze is only worth its log if it settles nearly every miss
+  // (~98% here; the rest are tail candidates, where rho is widest).
+  ASSERT_GT(paper_misses, 1000u);
+  EXPECT_GT(static_cast<double>(paper_settled),
+            0.95 * static_cast<double>(paper_misses));
 }
 
 }  // namespace

@@ -73,7 +73,8 @@ std::string graph_engine_names() {
   std::fprintf(
       exit_code == 0 ? stdout : stderr,
       "usage: kusd <run|sweep|merge|trace|exact> [options]\n"
-      "  common:  --n N --k K --undecided U --seed S\n"
+      "  common:  --n N --k K (counts take scientific notation)\n"
+      "           --undecided U --seed S (run, trace, sweep)\n"
       "  bias:    --bias none|additive|multiplicative [--beta B | --alpha A]\n"
       "  engines: %s\n"
       "  run:     --engine NAME [--graph SPEC]\n"
@@ -135,6 +136,27 @@ std::uint64_t parse_u64_or_usage(const std::string& item) {
   return value;
 }
 
+// Counts accept scientific notation ("1e6") for ergonomic large-n runs.
+// A plain decimal integer is read exactly over the whole u64 range; any
+// other form goes through a double and is capped at 2^53, beyond which
+// the round-trip silently rounds the literal — exactly the quiet size
+// drift this parser rejects.
+pp::Count parse_count_or_usage(const std::string& item) {
+  if (item.find_first_not_of("0123456789") == std::string::npos) {
+    const std::uint64_t value = parse_u64_or_usage(item);
+    if (value >= 1) return value;
+  } else {
+    const double value = parse_number_or_usage(item);
+    if (value >= 1.0 && value <= 9007199254740992.0 &&
+        value == std::floor(value)) {
+      return static_cast<pp::Count>(value);
+    }
+  }
+  std::fprintf(stderr, "count '%s' out of range or not an integer\n",
+               item.c_str());
+  usage();
+}
+
 struct Args {
   std::string command;
   std::map<std::string, std::string> options;
@@ -143,6 +165,11 @@ struct Args {
                                       std::uint64_t fallback) const {
     const auto it = options.find(key);
     return it == options.end() ? fallback : parse_u64_or_usage(it->second);
+  }
+  [[nodiscard]] pp::Count get_count(const std::string& key,
+                                    pp::Count fallback) const {
+    const auto it = options.find(key);
+    return it == options.end() ? fallback : parse_count_or_usage(it->second);
   }
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const {
@@ -187,8 +214,30 @@ Args parse(int argc, char** argv) {
   return args;
 }
 
+// Unknown keys must fail, not be dropped: `--trails 500` running the
+// default 25 trials for hours is worse than an error. Every subcommand
+// passes its own `known` set. A bias-value flag must also match the bias
+// kind.
+void reject_unknown_options(const Args& args,
+                            const std::set<std::string>& known) {
+  const std::string bias_kind = args.get_string("bias", "none");
+  for (const auto& [key, value] : args.options) {
+    if (known.count(key) == 0) {
+      std::fprintf(stderr, "unknown %s option --%s\n", args.command.c_str(),
+                   key.c_str());
+      usage();
+    }
+    if ((key == "beta" && bias_kind != "additive") ||
+        (key == "alpha" && bias_kind != "multiplicative")) {
+      std::fprintf(stderr, "--%s requires --bias %s\n", key.c_str(),
+                   key == "beta" ? "additive" : "multiplicative");
+      usage();
+    }
+  }
+}
+
 pp::Configuration build_config(const Args& args) {
-  const pp::Count n = args.get_u64("n", 100000);
+  const pp::Count n = args.get_count("n", 100000);
   const int k = static_cast<int>(args.get_u64("k", 8));
   const pp::Count u = args.get_u64("undecided", 0);
   const std::string bias = args.get_string("bias", "none");
@@ -205,6 +254,10 @@ pp::Configuration build_config(const Args& args) {
 }
 
 int cmd_run(const Args& args) {
+  static const std::set<std::string> known = {
+      "n", "k", "undecided", "seed", "bias", "beta", "alpha", "engine",
+      "graph"};
+  reject_unknown_options(args, known);
   const auto x0 = build_config(args);
   runner::RunOptions opts;
   opts.engine = args.get_string("engine", "");
@@ -276,20 +329,10 @@ std::vector<std::string> split_list(const std::string& spec) {
   return items;
 }
 
-// Counts accept scientific notation ("1e6") for ergonomic large-n sweeps.
 std::vector<pp::Count> parse_count_list(const std::string& spec) {
   std::vector<pp::Count> out;
   for (const auto& item : split_list(spec)) {
-    const double value = parse_number_or_usage(item);
-    // Cap at 2^53: beyond that the double round-trip silently rounds the
-    // literal, which is exactly the quiet size drift this parser rejects.
-    if (!(value >= 1.0 && value <= 9007199254740992.0) ||
-        value != std::floor(value)) {
-      std::fprintf(stderr, "count '%s' out of range or not an integer\n",
-                   item.c_str());
-      usage();
-    }
-    out.push_back(static_cast<pp::Count>(value));
+    out.push_back(parse_count_or_usage(item));
   }
   return out;
 }
@@ -303,27 +346,13 @@ std::vector<double> parse_double_list(const std::string& spec) {
 }
 
 int cmd_sweep(const Args& args) {
-  // Unknown keys must fail, not be dropped: `--trails 500` running the
-  // default 25 trials for hours is worse than an error. The bias-value
-  // flag must also match the bias kind.
+  static const std::set<std::string> known = {
+      "n",      "k",     "engine", "graph",   "bias", "beta", "alpha",
+      "undecided", "ufrac", "budget", "trials", "seed", "threads",
+      "chunk", "chunk-policy", "lockstep-schedule", "start", "stripe-width",
+      "shuffle-points", "shard", "journal", "resume", "out", "json"};
+  reject_unknown_options(args, known);
   const std::string bias_kind = args.get_string("bias", "none");
-  for (const auto& [key, value] : args.options) {
-    static const std::set<std::string> known = {
-        "n",      "k",     "engine", "graph",   "bias", "beta", "alpha",
-        "undecided", "ufrac", "budget", "trials", "seed", "threads",
-        "chunk", "chunk-policy", "lockstep-schedule", "start", "stripe-width",
-        "shuffle-points", "shard", "journal", "resume", "out", "json"};
-    if (known.count(key) == 0) {
-      std::fprintf(stderr, "unknown sweep option --%s\n", key.c_str());
-      usage();
-    }
-    if ((key == "beta" && bias_kind != "additive") ||
-        (key == "alpha" && bias_kind != "multiplicative")) {
-      std::fprintf(stderr, "--%s requires --bias %s\n", key.c_str(),
-                   key == "beta" ? "additive" : "multiplicative");
-      usage();
-    }
-  }
 
   runner::SweepSpec spec;
   spec.ns = parse_count_list(args.get_string("n", "100000"));
@@ -566,13 +595,8 @@ int cmd_sweep(const Args& args) {
 }
 
 int cmd_merge(const Args& args) {
-  for (const auto& [key, value] : args.options) {
-    static const std::set<std::string> known = {"inputs", "out", "json"};
-    if (known.count(key) == 0) {
-      std::fprintf(stderr, "unknown merge option --%s\n", key.c_str());
-      usage();
-    }
-  }
+  static const std::set<std::string> known = {"inputs", "out", "json"};
+  reject_unknown_options(args, known);
   const auto inputs = split_list(args.get_string("inputs", ""));
   if (inputs.empty()) {
     std::fprintf(stderr, "--inputs must list at least one shard journal\n");
@@ -625,6 +649,9 @@ int cmd_merge(const Args& args) {
 }
 
 int cmd_trace(const Args& args) {
+  static const std::set<std::string> known = {
+      "n", "k", "undecided", "seed", "bias", "beta", "alpha", "out"};
+  reject_unknown_options(args, known);
   const auto x0 = build_config(args);
   const std::string out = args.get_string("out", "kusd_trace.csv");
   core::UsdSimulator sim(x0, rng::Rng(args.get_u64("seed", 1)),
@@ -645,7 +672,9 @@ int cmd_trace(const Args& args) {
 }
 
 int cmd_exact(const Args& args) {
-  const pp::Count n = args.get_u64("n", 12);
+  static const std::set<std::string> known = {"n", "k", "support"};
+  reject_unknown_options(args, known);
+  const pp::Count n = args.get_count("n", 12);
   const int k = static_cast<int>(args.get_u64("k", 2));
   std::vector<pp::Count> support;
   const std::string spec = args.get_string("support", "");
