@@ -5,13 +5,16 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "pp/configuration.hpp"
 #include "rng/rng.hpp"
+#include "rng/simd.hpp"
 #include "runner/scale.hpp"
 #include "runner/table.hpp"
 #include "util/stopwatch.hpp"
@@ -66,7 +69,16 @@ class JsonResult {
     fields_.emplace_back(key, value ? "true" : "false");
   }
   void add_string(const std::string& key, const std::string& value) {
-    fields_.emplace_back(key, "\"" + value + "\"");
+    std::string quoted = "\"";
+    for (const char c : value) {
+      if (c == '"' || c == '\\') quoted += '\\';
+      quoted += c;
+    }
+    fields_.emplace_back(key, quoted + "\"");
+  }
+  /// A pre-rendered JSON value (array or object) under `key`.
+  void add_raw(const std::string& key, const std::string& json) {
+    fields_.emplace_back(key, json);
   }
 
   /// Write `{ "k": v, ... }` to `path`; returns false (with a stderr note)
@@ -93,6 +105,79 @@ class JsonResult {
  private:
   std::vector<std::pair<std::string, std::string>> fields_;
 };
+
+/// Median and quartiles of repeated measurements (linear interpolation
+/// between order statistics). Reported instead of a minimum so a
+/// result carries its own spread.
+struct Spread {
+  double median = 0.0;
+  double q1 = 0.0;
+  double q3 = 0.0;
+  [[nodiscard]] double iqr() const { return q3 - q1; }
+};
+
+[[nodiscard]] inline Spread spread_of(std::vector<double> samples) {
+  if (samples.empty()) return {};
+  std::sort(samples.begin(), samples.end());
+  const auto quantile = [&samples](double q) {
+    const double pos = q * static_cast<double>(samples.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+    const double frac = pos - static_cast<double>(lo);
+    return samples[lo] + frac * (samples[hi] - samples[lo]);
+  };
+  return {quantile(0.5), quantile(0.25), quantile(0.75)};
+}
+
+#ifndef KUSD_BENCH_CXX_FLAGS
+#define KUSD_BENCH_CXX_FLAGS ""
+#endif
+#ifndef KUSD_BENCH_BUILD_TYPE
+#define KUSD_BENCH_BUILD_TYPE ""
+#endif
+#ifndef KUSD_BENCH_SOURCE_DIR
+#define KUSD_BENCH_SOURCE_DIR "."
+#endif
+
+/// Where a result was measured: CPU model, logical CPUs, compiler, build
+/// flags, SIMD tier and the source commit (suffixed "-dirty" when the
+/// tree had uncommitted changes; empty outside a git checkout).
+inline void add_provenance(JsonResult& json) {
+  std::string cpu;
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      cpu = line.substr(line.find(':') + 2);
+      break;
+    }
+  }
+  std::string sha;
+  const std::string git = std::string("git -C \"") + KUSD_BENCH_SOURCE_DIR +
+                          "\" describe --always --dirty --abbrev=40 "
+                          "2>/dev/null";
+  if (std::FILE* pipe = popen(git.c_str(), "r")) {
+    char buf[96] = {};
+    if (std::fgets(buf, sizeof buf, pipe) != nullptr) sha = buf;
+    pclose(pipe);
+    while (!sha.empty() && (sha.back() == '\n' || sha.back() == ' ')) {
+      sha.pop_back();
+    }
+  }
+  json.add_string("host_cpu", cpu);
+  json.add("host_nproc",
+           static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+#if defined(__clang__)
+  json.add_string("compiler", std::string("clang ") + __clang_version__);
+#elif defined(__GNUC__)
+  json.add_string("compiler", std::string("gcc ") + __VERSION__);
+#else
+  json.add_string("compiler", "unknown");
+#endif
+  json.add_string("build_type", KUSD_BENCH_BUILD_TYPE);
+  json.add_string("cxx_flags", KUSD_BENCH_CXX_FLAGS);
+  json.add_string("simd_tier", rng::simd::to_string(rng::simd::active_tier()));
+  json.add_string("git_sha", sha);
+}
 
 /// Print the standard experiment banner (id, paper artifact, scale knob).
 inline void banner(const char* experiment_id, const char* artifact,

@@ -1,7 +1,9 @@
 #include "core/lockstep_usd.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
+#include <span>
 
 #include "pp/configuration.hpp"
 #include "rng/binomial.hpp"
@@ -153,6 +155,17 @@ void LockstepRoundEngine::advance_all(std::uint64_t target) {
         productive += w[j] + w[k + j];
       }
       w[2 * k] = std::max(0.0, total_pairs - productive);
+      // A short per-trial chunk takes multinomial_into's alias form,
+      // which has no family-outer split: draw it whole from the trial's
+      // own stream now. remaining_ = 0 keeps it out of phase 3.
+      if (schedule_ != LockstepSchedule::kShared &&
+          rng::multinomial_uses_alias(m_[t], fam)) {
+        rngs_[t].multinomial_into(
+            m_[t], std::span<const double>(w, fam),
+            std::span<std::uint64_t>(&events_[t * fam], fam));
+        remaining_[t] = 0;
+        continue;
+      }
       double rw = 0.0;
       for (std::size_t f = 0; f < fam; ++f) rw += w[f];
       remaining_weight_[t] = rw;
@@ -161,10 +174,11 @@ void LockstepRoundEngine::advance_all(std::uint64_t target) {
     }
 
     // 3. The sequential-conditional multinomial, family-outer and
-    //    trial-inner: each family's draws for every live trial go through
-    //    one binomial_batch call. Per trial the family order (and thus its
-    //    stream consumption) is exactly multinomial_into's; the
-    //    interleaved draws of other trials touch other streams only.
+    //    trial-inner: each family's draws for every live trial whose
+    //    chunk takes the chain form go through one binomial_batch call.
+    //    Per trial the family order (and thus its stream consumption) is
+    //    exactly multinomial_into's; the interleaved draws of other
+    //    trials touch other streams only.
     for (std::size_t f = 0; f + 1 < fam; ++f) {
       batch_rngs_.clear();
       batch_ns_.clear();

@@ -6,7 +6,10 @@
 // advances all of them together, one chunk per trial per pass, with the
 // per-trial state held trial-major (counts[trial * k + opinion]) and the
 // conditional-binomial multinomial draws batched family-by-family across
-// trials (rng::binomial_batch).
+// trials (rng::binomial_batch). A chunk short enough for
+// Rng::multinomial_into's alias form (rng::multinomial_uses_alias) has
+// no per-family split to batch; the kernel draws it whole through the
+// trial's own multinomial_into instead.
 //
 // The defining contract is *per-stream bit-identity*: trial t of a
 // lockstep run makes exactly the draw sequence, chunk schedule, and

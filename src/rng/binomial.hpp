@@ -3,9 +3,11 @@
 // Replaces std::binomial_distribution for three reasons:
 //
 //  * Speed. The tau-leap engines draw one conditional binomial per event
-//    family per chunk, each with a fresh (n, p); libstdc++'s sampler
-//    re-runs its lgamma-heavy parameter setup on every construction,
-//    which dominates the whole hot loop (~200 ns/draw at n = 1e8). BINV
+//    family per chunk (all but the shortest chunks, which
+//    Rng::multinomial_into draws from an alias table), each with a
+//    fresh (n, p); libstdc++'s sampler re-runs its lgamma-heavy
+//    parameter setup on every construction, which dominates the whole
+//    hot loop (~200 ns/draw at n = 1e8). BINV
 //    costs a handful of multiplies for small means and BTRS (Hörmann,
 //    "The generation of binomial random variates", 1993) accepts ~86% of
 //    candidates with two uniforms and a few flops each.
@@ -78,6 +80,17 @@ void binomial_batch(std::span<Rng* const> rngs,
 /// Convenience overload over a contiguous Rng array (one draw per Rng).
 void binomial_batch(std::span<Rng> rngs, std::span<const std::uint64_t> ns,
                     std::span<const double> ps, std::span<std::uint64_t> out);
+
+/// The two exact forms behind Rng::multinomial_into, callable on their
+/// own so bench_small_multinomial and the tests can run both on the same
+/// inputs. Same preconditions and output contract as multinomial_into;
+/// only the draws and the stream consumption differ.
+void multinomial_chain_into(Rng& rng, std::uint64_t n,
+                            std::span<const double> weights,
+                            std::span<std::uint64_t> out);
+void multinomial_alias_into(Rng& rng, std::uint64_t n,
+                            std::span<const double> weights,
+                            std::span<std::uint64_t> out);
 
 class PhiloxUniformStream;
 

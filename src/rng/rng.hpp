@@ -10,6 +10,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -62,6 +63,24 @@ inline constexpr std::uint64_t kPhiloxWeyl = 0x9E3779B97F4A7C15ULL;
                                                   std::uint64_t id) {
   const auto block = philox2x64(id, 0, master_seed);
   return block[0] ^ block[1];
+}
+
+/// Rng::multinomial_into draws from an alias table when it has at most
+/// this many trials per category, and through conditional binomials
+/// otherwise. An alias draw costs a few ns after an O(K) table, against
+/// tens of ns per category for the chain's binomials, so the table wins
+/// well past m = K. bench_small_multinomial measures the crossover: it
+/// sat between 8K and 20K for every K it times, and at m = 8K the alias
+/// form was 1.2-1.4x faster at K = 2 and about 2x or more at K >= 12.
+inline constexpr std::uint64_t kAliasTrialsPerCategory = 8;
+
+/// Whether Rng::multinomial_into(n, weights, out) takes the alias-table
+/// form: a function of the trial count and category count only, so
+/// callers that replay the chain's arithmetic themselves (the lockstep
+/// kernel) can route exactly the calls the chain would serve.
+[[nodiscard]] constexpr bool multinomial_uses_alias(std::uint64_t n,
+                                                    std::size_t categories) {
+  return n <= kAliasTrialsPerCategory * categories;
 }
 
 /// xoshiro256++ generator with convenience samplers for every distribution
@@ -123,9 +142,19 @@ class Rng {
   std::uint64_t binomial(std::uint64_t n, double p);
 
   /// Multinomial(n, weights): partition n into weights.size() buckets with
-  /// probabilities proportional to weights. Exact via sequential
-  /// conditional binomials; `out` must have weights.size() entries and is
-  /// overwritten. Allocation-free (the hot-loop form).
+  /// probabilities proportional to weights; `out` must have
+  /// weights.size() entries and is overwritten. Two exact forms, chosen
+  /// by multinomial_uses_alias(n, weights.size()) alone:
+  ///  * few trials per category: n independent categorical draws from a
+  ///    Vose alias table built over the K' positive weights (one 64-bit
+  ///    word per draw; a column's keep-or-alias split resolves
+  ///    probabilities to about 63 - log2(K') bits). A zero-weight
+  ///    category is never drawn, by construction.
+  ///  * otherwise: sequential conditional binomials in array order, the
+  ///    last category taking the exact remainder.
+  /// All-zero weights put all n trials in the last category and consume
+  /// no randomness, as does a single positive weight. Allocation-free
+  /// after warm-up (the hot-loop form).
   void multinomial_into(std::uint64_t n, std::span<const double> weights,
                         std::span<std::uint64_t> out);
 

@@ -17,7 +17,11 @@ bool Engine::run_observed(std::uint64_t max_native, std::uint64_t interval,
                           const Observer& observer) {
   KUSD_CHECK_MSG(interval > 0, "observer interval must be positive");
   observer(elapsed(), counts(), undecided());
-  std::uint64_t next = elapsed() + interval;
+  // Boundaries saturate rather than wrap: under a saturated default
+  // budget (n * T near 2^64) a wrapped boundary would never pass the
+  // clock again and the catch-up loop below would spin forever.
+  constexpr std::uint64_t kNever = ~std::uint64_t{0};
+  std::uint64_t next = saturating_add(elapsed(), interval);
   while (!is_consensus() && elapsed() < max_native) {
     // Advancing to the boundary (not the cap) lets exact engines land on
     // it; coarse-stepping engines overshoot by at most one step, and the
@@ -26,8 +30,8 @@ bool Engine::run_observed(std::uint64_t max_native, std::uint64_t interval,
     if (elapsed() >= next) {
       observer(elapsed(), counts(), undecided());
       do {
-        next += interval;
-      } while (next <= elapsed());
+        next = saturating_add(next, interval);
+      } while (next <= elapsed() && next != kNever);
     }
   }
   observer(elapsed(), counts(), undecided());

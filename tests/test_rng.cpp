@@ -7,9 +7,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <map>
 #include <numeric>
 #include <set>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -657,6 +659,290 @@ TEST(BinomialSqueeze, DecisionsMatchTheExactTest) {
   ASSERT_GT(paper_misses, 1000u);
   EXPECT_GT(static_cast<double>(paper_settled),
             0.95 * static_cast<double>(paper_misses));
+}
+
+// ---- Alias-table form of multinomial_into (few trials per category) ----
+
+/// Upper alpha = 1e-4 critical value of chi-square with `df` degrees of
+/// freedom (Wilson-Hilferty; slightly conservative at df = 1, where it
+/// gives 16.2 against the exact 15.1).
+double chi_square_critical(std::size_t df) {
+  const double d = static_cast<double>(df);
+  const double z = 3.7190;  // standard normal upper 1e-4 quantile
+  const double c = 1.0 - 2.0 / (9.0 * d) + z * std::sqrt(2.0 / (9.0 * d));
+  return d * c * c * c;
+}
+
+/// Pearson chi-square of observed bin counts against exact bin
+/// probabilities, bins with expected count < 5 pooled (smallest first).
+/// Returns {statistic, degrees of freedom}.
+std::pair<double, std::size_t> chi_square(const std::vector<double>& probs,
+                                          const std::vector<double>& observed,
+                                          double calls) {
+  std::vector<std::size_t> order(probs.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(),
+            [&probs](std::size_t a, std::size_t b) {
+              return probs[a] < probs[b];
+            });
+  std::vector<std::pair<double, double>> bins;  // (expected, observed)
+  double pooled_e = 0.0, pooled_o = 0.0;
+  for (const std::size_t i : order) {
+    const double e = probs[i] * calls;
+    if (pooled_e < 5.0) {
+      pooled_e += e;
+      pooled_o += observed[i];
+    } else {
+      bins.emplace_back(e, observed[i]);
+    }
+  }
+  if (pooled_e > 0.0) bins.emplace_back(pooled_e, pooled_o);
+  double stat = 0.0;
+  for (const auto& [e, o] : bins) stat += (o - e) * (o - e) / e;
+  return {stat, bins.empty() ? 0 : bins.size() - 1};
+}
+
+/// Skewed weights spanning 1 : 10^6, scattered over the index range.
+std::vector<double> skewed_weights(std::size_t categories) {
+  std::vector<double> w(categories);
+  for (std::size_t j = 0; j < categories; ++j) {
+    const double f = static_cast<double>((j * 7) % categories) /
+                     static_cast<double>(categories - 1);
+    w[j] = std::pow(10.0, 6.0 * f);
+  }
+  return w;
+}
+
+/// Every composition of m into `parts` non-negative parts.
+void compositions(std::uint64_t m, std::size_t parts,
+                  std::vector<std::uint64_t>& prefix,
+                  std::vector<std::vector<std::uint64_t>>& all) {
+  if (prefix.size() + 1 == parts) {
+    prefix.push_back(m);
+    all.push_back(prefix);
+    prefix.pop_back();
+    return;
+  }
+  for (std::uint64_t x = 0; x <= m; ++x) {
+    prefix.push_back(x);
+    compositions(m - x, parts, prefix, all);
+    prefix.pop_back();
+  }
+}
+
+double log_multinomial_pmf(std::span<const std::uint64_t> x,
+                           std::span<const double> p) {
+  double total = 0.0;
+  double lp = 0.0;
+  for (std::size_t j = 0; j < x.size(); ++j) {
+    total += static_cast<double>(x[j]);
+    lp -= std::lgamma(static_cast<double>(x[j]) + 1.0);
+    if (x[j] > 0) lp += static_cast<double>(x[j]) * std::log(p[j]);
+  }
+  return lp + std::lgamma(total + 1.0);
+}
+
+TEST(AliasMultinomial, MatchesTheExactPmfOnBothSidesOfTheSwitch) {
+  // Pearson chi-square at alpha = 1e-4 against the exact multinomial law.
+  // Where the outcome space is small the bins are whole outcome vectors;
+  // otherwise two statistics with exact laws are tested: the joint count
+  // of the heaviest and a mid-weight category (trinomial), and the total
+  // of the lighter half of the categories (binomial). m = cK is the last
+  // alias-form size, m = cK + 1 the first chain-form size.
+  const int calls = 20000;
+  const std::uint64_t c = rng::kAliasTrialsPerCategory;
+  for (const std::size_t k : {2, 5, 17, 33, 65}) {
+    const std::vector<double> weights = skewed_weights(k);
+    const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
+    std::vector<double> p(k);
+    for (std::size_t j = 0; j < k; ++j) p[j] = weights[j] / total;
+    for (const std::uint64_t m : {std::uint64_t{1}, std::uint64_t{2},
+                                  std::uint64_t{5}, 2 * k, c * k,
+                                  c * k + 1}) {
+      SCOPED_TRACE("K=" + std::to_string(k) + " m=" + std::to_string(m));
+      rng::Rng rng(rng::stream_seed(7100, m * 1000 + k));
+      std::vector<std::vector<std::uint64_t>> draws(
+          calls, std::vector<std::uint64_t>(k));
+      for (auto& out : draws) {
+        rng.multinomial_into(m, weights, out);
+        ASSERT_EQ(std::accumulate(out.begin(), out.end(), std::uint64_t{0}),
+                  m);
+      }
+      std::vector<std::vector<std::uint64_t>> outcomes;
+      std::vector<std::uint64_t> prefix;
+      const double log_count = std::lgamma(static_cast<double>(m + k)) -
+                               std::lgamma(static_cast<double>(m) + 1.0) -
+                               std::lgamma(static_cast<double>(k));
+      if (log_count < std::log(3000.0)) {
+        compositions(m, k, prefix, outcomes);
+        std::map<std::vector<std::uint64_t>, std::size_t> index;
+        std::vector<double> probs;
+        for (const auto& x : outcomes) {
+          index.emplace(x, probs.size());
+          probs.push_back(std::exp(log_multinomial_pmf(x, p)));
+        }
+        std::vector<double> observed(probs.size(), 0.0);
+        for (const auto& out : draws) observed[index.at(out)] += 1.0;
+        const auto [stat, df] = chi_square(probs, observed, calls);
+        if (df > 0) {
+          EXPECT_LT(stat, chi_square_critical(df)) << "full pmf";
+        }
+        continue;
+      }
+      // Trinomial of (heaviest, mid-weight) categories.
+      const std::size_t heavy = static_cast<std::size_t>(
+          std::max_element(p.begin(), p.end()) - p.begin());
+      std::vector<std::size_t> by_weight(k);
+      std::iota(by_weight.begin(), by_weight.end(), 0);
+      std::sort(by_weight.begin(), by_weight.end(),
+                [&p](std::size_t a, std::size_t b) { return p[a] < p[b]; });
+      const std::size_t mid = by_weight[k * 3 / 4];
+      const std::size_t side = m + 1;
+      std::vector<double> probs(side * side, 0.0);
+      std::vector<double> observed(side * side, 0.0);
+      const std::array<double, 3> tri = {p[heavy], p[mid],
+                                         1.0 - p[heavy] - p[mid]};
+      for (std::uint64_t a = 0; a <= m; ++a) {
+        for (std::uint64_t b = 0; a + b <= m; ++b) {
+          const std::array<std::uint64_t, 3> x = {a, b, m - a - b};
+          probs[a * side + b] = std::exp(log_multinomial_pmf(x, tri));
+        }
+      }
+      for (const auto& out : draws) {
+        observed[out[heavy] * side + out[mid]] += 1.0;
+      }
+      const auto [stat, df] = chi_square(probs, observed, calls);
+      if (df > 0) {
+        EXPECT_LT(stat, chi_square_critical(df)) << "trinomial";
+      }
+      // Binomial total of the lighter half.
+      double light_p = 0.0;
+      for (std::size_t i = 0; i < k / 2; ++i) light_p += p[by_weight[i]];
+      std::vector<double> bprobs(m + 1), bobserved(m + 1, 0.0);
+      for (std::uint64_t s = 0; s <= m; ++s) {
+        const std::array<std::uint64_t, 2> x = {s, m - s};
+        const std::array<double, 2> q = {light_p, 1.0 - light_p};
+        bprobs[s] = std::exp(log_multinomial_pmf(x, q));
+      }
+      for (const auto& out : draws) {
+        std::uint64_t light = 0;
+        for (std::size_t i = 0; i < k / 2; ++i) light += out[by_weight[i]];
+        bobserved[light] += 1.0;
+      }
+      const auto [bstat, bdf] = chi_square(bprobs, bobserved, calls);
+      if (bdf > 0) {
+        EXPECT_LT(bstat, chi_square_critical(bdf)) << "light-half binomial";
+      }
+    }
+  }
+}
+
+TEST(AliasMultinomial, NeverDrawsAZeroWeightCategory) {
+  // 10^6 alias-form calls over random shapes: zeros mixed among weights
+  // spanning 1 to 1e30. The table is built over the positive weights
+  // only, so a zero-weight category is unreachable by construction, not
+  // by rounding. (The chain form cannot promise this: its last category
+  // takes the remainder whatever its weight.)
+  rng::Rng shapes(7200);
+  rng::Rng draws(7201);
+  std::vector<double> weights;
+  std::vector<std::uint64_t> out;
+  std::uint64_t drawn = 0;
+  for (int call = 0; call < 1'000'000; ++call) {
+    const std::size_t k = 2 + static_cast<std::size_t>(shapes.bounded(39));
+    weights.assign(k, 0.0);
+    out.assign(k, 0);
+    for (std::size_t j = 0; j < k; ++j) {
+      if (shapes.uniform01() < 0.6) {
+        weights[j] = std::pow(10.0, 30.0 * shapes.uniform01());
+      }
+    }
+    weights[shapes.bounded(k)] = std::pow(10.0, 30.0 * shapes.uniform01());
+    const std::uint64_t m =
+        1 + shapes.bounded(rng::kAliasTrialsPerCategory * k);
+    ASSERT_TRUE(rng::multinomial_uses_alias(m, k));
+    draws.multinomial_into(m, weights, out);
+    std::uint64_t sum = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+      if (weights[j] == 0.0) {
+        ASSERT_EQ(out[j], 0u) << "call " << call;
+      }
+      sum += out[j];
+    }
+    ASSERT_EQ(sum, m) << "call " << call;
+    drawn += m;
+  }
+  EXPECT_GT(drawn, 1'000'000u);
+}
+
+TEST(AliasMultinomial, DegenerateWeightsConsumeNoStream) {
+  // All-zero weights keep the chain's rule (every trial lands in the
+  // last category) and a single positive weight takes every trial; both
+  // are certain, so neither touches the stream.
+  rng::Rng a(7300), b(7300);
+  std::vector<std::uint64_t> out(4);
+  const std::vector<double> zeros(4, 0.0);
+  a.multinomial_into(3, zeros, out);
+  EXPECT_EQ(out, (std::vector<std::uint64_t>{0, 0, 0, 3}));
+  const std::vector<double> single = {0.0, 2.5, 0.0, 0.0};
+  a.multinomial_into(5, single, out);
+  EXPECT_EQ(out, (std::vector<std::uint64_t>{0, 5, 0, 0}));
+  a.multinomial_into(0, std::vector<double>{1.0, 2.0, 3.0, 4.0}, out);
+  EXPECT_EQ(out, (std::vector<std::uint64_t>{0, 0, 0, 0}));
+  EXPECT_EQ(a.next_u64(), b.next_u64());
+}
+
+TEST(AliasMultinomial, MultinomialIntoTakesTheFormItsPredicateNames) {
+  // multinomial_into is exactly one of its two forms, chosen by
+  // multinomial_uses_alias(n, K): same counts and same stream position.
+  const std::vector<double> weights = {3.0, 0.0, 1.5, 0.25, 5.0};
+  const std::uint64_t edge = rng::kAliasTrialsPerCategory * weights.size();
+  std::vector<std::uint64_t> into(weights.size()), form(weights.size());
+  for (std::uint64_t n = 0; n <= 2 * edge; ++n) {
+    rng::Rng a(7400 + n), b(7400 + n);
+    a.multinomial_into(n, weights, into);
+    if (rng::multinomial_uses_alias(n, weights.size())) {
+      rng::multinomial_alias_into(b, n, weights, form);
+    } else {
+      rng::multinomial_chain_into(b, n, weights, form);
+    }
+    EXPECT_EQ(into, form) << "n=" << n;
+    EXPECT_EQ(a.next_u64(), b.next_u64()) << "n=" << n;
+  }
+  EXPECT_TRUE(rng::multinomial_uses_alias(edge, weights.size()));
+  EXPECT_FALSE(rng::multinomial_uses_alias(edge + 1, weights.size()));
+}
+
+TEST(AliasMultinomial, GoldenSmallMultinomialPin) {
+  // The companion of Binomial.GoldenSamplerPin for the alias form: one
+  // hash over multinomial_into outputs with n <= cK at the tau-leap
+  // shapes of the many-cell grid (K = 2k + 1), the sync/gossip partner
+  // shapes (K = k + 1), the ref_point and graph_er widths (65, 313), with
+  // extinct categories mixed in, plus the final stream state. Any change
+  // to the table, the column/threshold split or the words a draw
+  // consumes changes the hash. The constant was recorded when the alias
+  // form was introduced.
+  Fnv1a hash;
+  rng::Rng rng(20261018);
+  std::vector<double> weights;
+  std::vector<std::uint64_t> out;
+  for (const std::size_t k : {3, 4, 5, 7, 9, 13, 17, 25, 33, 65, 313}) {
+    weights.assign(k, 0.0);
+    out.assign(k, 0);
+    for (std::uint64_t m = 1; m <= rng::kAliasTrialsPerCategory * k;
+         m += 1 + m / 4) {
+      for (std::size_t j = 0; j < k; ++j) {
+        const double phase = static_cast<double>(j * 5 + m);
+        // Every fifth category extinct; the last one the large no-op.
+        weights[j] = j % 5 == 3 ? 0.0 : 1e6 * (1.2 + std::sin(phase));
+      }
+      weights.back() = 4e6 * static_cast<double>(k);
+      rng.multinomial_into(m, weights, out);
+      for (const std::uint64_t x : out) hash.add(x);
+    }
+    hash.add_state(rng);
+  }
+  EXPECT_EQ(hash.value(), 0x9E059C658A9F9AC2ULL);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include "core/budget.hpp"
 #include "runner/run.hpp"
 #include "pp/configuration.hpp"
+#include "util/stopwatch.hpp"
 
 namespace kusd {
 namespace {
@@ -155,6 +156,35 @@ TEST(RunUsd, DefaultInteractionCapSaturatesAtHugeN) {
   // Ordinary sizes are unaffected.
   EXPECT_LT(core::default_interaction_cap(100000, 8), ~std::uint64_t{0});
   EXPECT_GT(core::default_interaction_cap(100000, 8), 0u);
+}
+
+// The two sides of the native clock's uint64 limit under the saturated
+// default budget. With k = 2 consensus takes ~105 parallel time units,
+// so n * T crosses 2^64 (~1.8e19) between n = 1.5e17 and n = 2e17.
+TEST(RunUsd, BatchedConvergesJustBelowTheClockLimit) {
+  RunOptions opts;
+  opts.engine = "batched";
+  const auto result =
+      run_usd(Configuration::uniform(150'000'000'000'000'000ULL, 2, 0), 1,
+              opts);
+  EXPECT_TRUE(result.converged);
+  EXPECT_TRUE(result.phases.t5.has_value());
+  EXPECT_GT(result.interactions, 10'000'000'000'000'000'000ULL);
+}
+
+TEST(RunUsd, BatchedStopsAtTheSaturatedBudgetPastTheClockLimit) {
+  // Past the limit the run must end at the saturated cap and report
+  // non-convergence, not spin on a wrapped observation boundary.
+  RunOptions opts;
+  opts.engine = "batched";
+  const util::Stopwatch watch;
+  const auto result =
+      run_usd(Configuration::uniform(200'000'000'000'000'000ULL, 2, 0), 1,
+              opts);
+  EXPECT_LT(watch.seconds(), 1.0);
+  EXPECT_FALSE(result.converged);
+  EXPECT_EQ(result.winner, -1);
+  EXPECT_EQ(result.interactions, ~std::uint64_t{0});
 }
 
 }  // namespace

@@ -151,9 +151,11 @@ std::vector<double> consensus_times(const Configuration& x0, StepMode mode,
   return out;
 }
 
+// Three 8-byte fields and no padding: gtest names each case after the
+// struct's bytes, so padding would leak indeterminate bytes into them.
 struct EquivalenceCase {
   pp::Count n = 0;
-  int k = 0;
+  std::int64_t k = 0;
   pp::Count undecided = 0;
 };
 
@@ -162,8 +164,8 @@ class SkipEquivalenceSweep
 
 TEST_P(SkipEquivalenceSweep, SkipEngineMatchesPlainEngineInDistribution) {
   const auto param = GetParam();
-  const auto x0 =
-      Configuration::uniform(param.n, param.k, param.undecided);
+  const auto x0 = Configuration::uniform(
+      param.n, static_cast<int>(param.k), param.undecided);
   const int trials = 350;
   const auto plain =
       consensus_times(x0, StepMode::kEveryInteraction, trials, 900);

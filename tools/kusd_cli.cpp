@@ -290,7 +290,10 @@ int cmd_run(const Args& args) {
   }
   const auto result = runner::run_usd(x0, args.get_u64("seed", 1), opts);
   if (!result.converged) {
-    std::printf("no consensus within the time cap\n");
+    std::printf("no consensus within the time cap (%llu native time units, "
+                "parallel time %.1f)\n",
+                static_cast<unsigned long long>(result.interactions),
+                result.parallel_time);
     return 1;
   }
   std::printf("consensus on opinion %d after %llu native time units "
