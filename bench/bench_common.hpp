@@ -13,40 +13,10 @@
 #include <vector>
 
 #include "pp/configuration.hpp"
-#include "rng/rng.hpp"
-#include "rng/simd.hpp"
 #include "runner/scale.hpp"
 #include "runner/table.hpp"
-#include "util/stopwatch.hpp"
 
 namespace kusd::bench {
-
-/// Min-of-`reps` wall-clock estimator: run the identical deterministic
-/// `body` `reps` times and keep the fastest. On the 1-core dev container
-/// a single shot can be off by 50% from scheduler interference; the
-/// minimum over repetitions estimates the true cost (the standard bench
-/// methodology here — see README "Bench methodology").
-template <typename Body>
-[[nodiscard]] double min_seconds_over(int reps, Body&& body) {
-  double best = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    util::Stopwatch watch;
-    body();
-    best = std::min(best, watch.seconds());
-  }
-  return best;
-}
-
-/// The per-trial seed batch every many-trial bench derives the same way:
-/// seeds[t] = rng::stream_seed(base, t).
-[[nodiscard]] inline std::vector<std::uint64_t> stream_seeds(
-    std::uint64_t base, std::size_t count) {
-  std::vector<std::uint64_t> seeds(count);
-  for (std::size_t t = 0; t < count; ++t) {
-    seeds[t] = rng::stream_seed(base, static_cast<std::uint64_t>(t));
-  }
-  return seeds;
-}
 
 /// Minimal machine-readable result emitter: accumulates an ordered flat
 /// JSON object and writes it to `path` (the BENCH_*.json convention — see
@@ -140,7 +110,7 @@ struct Spread {
 #endif
 
 /// Where a result was measured: CPU model, logical CPUs, compiler, build
-/// flags, SIMD tier and the source commit (suffixed "-dirty" when the
+/// flags and the source commit (suffixed "-dirty" when the
 /// tree had uncommitted changes; empty outside a git checkout).
 inline void add_provenance(JsonResult& json) {
   std::string cpu;
@@ -175,7 +145,6 @@ inline void add_provenance(JsonResult& json) {
 #endif
   json.add_string("build_type", KUSD_BENCH_BUILD_TYPE);
   json.add_string("cxx_flags", KUSD_BENCH_CXX_FLAGS);
-  json.add_string("simd_tier", rng::simd::to_string(rng::simd::active_tier()));
   json.add_string("git_sha", sha);
 }
 

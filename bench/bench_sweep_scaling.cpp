@@ -11,16 +11,18 @@
 // single-thread run — stripe width and shuffle are pure scheduling.
 //
 // This bench runs one such grid — engine x k x bias, small n, a few
-// trials per point — single-threaded and then work-stealing at
-// increasing thread counts (shuffled at the widest count), verifies the
-// byte-identity contract every time, and writes the wall-clock
-// trajectory to BENCH_sweep.json. Scaling is only observable with real
-// cores: hardware_concurrency is recorded so a 1-core CI smoke run
-// reporting speedup ~1 is interpretable.
+// trials per point — once untimed (warm-up, and the byte-identity
+// reference), then kRepetitions times at each of 1, 2 and 4 threads
+// (shuffled at 4), interleaving the thread counts within each repetition
+// so slow drift in the host hits every count alike. Every run is checked
+// against the reference. Each count reports the median and IQR of its
+// wall-clock samples, and each speedup divides the 1-thread median from
+// the same loop by that count's median, so warm-up never counts as
+// speedup. Results and host provenance go to BENCH_sweep.json; speedups
+// are only meaningful relative to the recorded host_nproc.
 #include <algorithm>
 #include <cstdint>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -66,52 +68,57 @@ std::string run_rendered(const runner::SweepSpec& spec, double* seconds) {
 int main() {
   bench::banner("E15", "work-stealing sweep scaling",
                 "Grids of many tiny points: the (point, trial-stripe) task "
-                "graph vs a single thread, byte-identical output, wall-clock "
-                "per thread count.");
+                "graph at 1, 2 and 4 threads, byte-identical output, median "
+                "and IQR wall-clock per thread count.");
 
+  constexpr int kRepetitions = 7;
+  const std::vector<std::size_t> thread_counts = {1, 2, 4};
   auto spec = grid_spec();
-  const std::size_t hardware = std::thread::hardware_concurrency();
   const std::size_t grid_cells = runner::Sweep(spec).grid().size();
 
-  double sequential_s = 0.0;
+  double warmup_s = 0.0;
   spec.threads = 1;
-  const std::string reference = run_rendered(spec, &sequential_s);
+  const std::string reference = run_rendered(spec, &warmup_s);
 
-  runner::Table table({"mode", "threads", "seconds", "speedup", "identical"});
-  table.add_row({"sequential", "1", runner::fmt(sequential_s, 3), "1.0",
-                 "(reference)"});
+  bool all_identical = true;
+  std::vector<std::vector<double>> samples(thread_counts.size());
+  for (int rep = 0; rep < kRepetitions; ++rep) {
+    for (std::size_t i = 0; i < thread_counts.size(); ++i) {
+      spec.threads = thread_counts[i];
+      spec.shuffle_points = i + 1 == thread_counts.size();
+      double seconds = 0.0;
+      all_identical = run_rendered(spec, &seconds) == reference &&
+                      all_identical;
+      samples[i].push_back(seconds);
+    }
+  }
 
   bench::JsonResult json;
   json.add_string("bench", "bench_sweep_scaling");
   json.add("repro_scale", runner::repro_scale());
-  json.add("hardware_concurrency", static_cast<std::uint64_t>(hardware));
+  bench::add_provenance(json);
   json.add("grid_cells", static_cast<std::uint64_t>(grid_cells));
   json.add("trials_per_cell", spec.trials);
-  json.add("sequential_seconds", sequential_s);
+  json.add("repetitions", kRepetitions);
+  json.add("warmup_seconds", warmup_s);
 
-  bool all_identical = true;
-  double best_speedup = 1.0;
-  std::vector<std::size_t> thread_counts = {1, 2, 4};
-  if (hardware > 4) thread_counts.push_back(hardware);
-  for (const std::size_t threads : thread_counts) {
-    spec.threads = threads;
-    spec.shuffle_points = threads == thread_counts.back();
-    double seconds = 0.0;
-    const std::string rendered = run_rendered(spec, &seconds);
-    const bool identical = rendered == reference;
-    all_identical = all_identical && identical;
-    const double speedup = sequential_s / std::max(seconds, 1e-9);
-    best_speedup = std::max(best_speedup, speedup);
-    table.add_row({spec.shuffle_points ? "work-stealing+shuffle"
-                                       : "work-stealing",
-                   std::to_string(threads), runner::fmt(seconds, 3),
-                   runner::fmt(speedup, 2), identical ? "yes" : "NO"});
-    json.add("task_graph_seconds_t" + std::to_string(threads), seconds);
-    json.add("speedup_t" + std::to_string(threads), speedup);
+  runner::Table table({"mode", "threads", "median s", "IQR s", "speedup"});
+  const double t1_median = bench::spread_of(samples[0]).median;
+  for (std::size_t i = 0; i < thread_counts.size(); ++i) {
+    const bench::Spread spread = bench::spread_of(samples[i]);
+    const double speedup = t1_median / std::max(spread.median, 1e-9);
+    const std::string suffix = "_t" + std::to_string(thread_counts[i]);
+    table.add_row({i + 1 == thread_counts.size() ? "work-stealing+shuffle"
+                                                 : "work-stealing",
+                   std::to_string(thread_counts[i]),
+                   runner::fmt(spread.median, 4), runner::fmt(spread.iqr(), 4),
+                   runner::fmt(speedup, 2)});
+    json.add("task_graph_seconds" + suffix, spread.median);
+    json.add("task_graph_seconds_iqr" + suffix, spread.iqr());
+    json.add("speedup" + suffix, speedup);
   }
   table.print();
 
-  json.add("best_speedup", best_speedup);
   json.add_bool("output_byte_identical", all_identical);
   const bool json_ok = json.write("BENCH_sweep.json");
   std::printf("\noutput byte-identical across schedules: %s\n",

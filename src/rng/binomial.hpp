@@ -37,9 +37,7 @@
 // 64 eps n ln n where the exact test cancels log-factorials of size
 // n ln n. So the squeeze only ever decides the way the exact test would,
 // and every draw, stream position and output byte is what the sampler
-// produced before the squeeze existed. The scalar sampler, the SIMD lane
-// kernels and the shared-schedule batch all decide through btrs_accept,
-// so they stay bit-identical to each other as well.
+// produced before the squeeze existed.
 #pragma once
 
 #include <cstdint>
@@ -62,25 +60,6 @@ namespace kusd::rng {
 /// (n - Binomial(n, 1 - p)).
 [[nodiscard]] std::uint64_t binomial(Rng& rng, std::uint64_t n, double p);
 
-/// Batched entry point for lockstep many-trial kernels: out[i] =
-/// binomial(*rngs[i], ns[i], ps[i]). Each draw comes from its own trial's
-/// stream, so every per-stream draw sequence is exactly what the scalar
-/// call would produce — batching changes dispatch cost and execution
-/// order, never per-stream results. Internally the batch is partitioned
-/// into cohorts (degenerate / BINV / BTRS) with per-(n, p) setup
-/// memoization, and the BTRS cohort runs through the lane-batched SIMD
-/// kernel of the active tier (rng/simd.hpp), so draws may execute in any
-/// order across the batch. All spans must have equal length, and the rng
-/// pointers must be distinct within one call (one draw per stream);
-/// callers needing several draws from one stream make several calls.
-void binomial_batch(std::span<Rng* const> rngs,
-                    std::span<const std::uint64_t> ns,
-                    std::span<const double> ps, std::span<std::uint64_t> out);
-
-/// Convenience overload over a contiguous Rng array (one draw per Rng).
-void binomial_batch(std::span<Rng> rngs, std::span<const std::uint64_t> ns,
-                    std::span<const double> ps, std::span<std::uint64_t> out);
-
 /// The two exact forms behind Rng::multinomial_into, callable on their
 /// own so bench_small_multinomial and the tests can run both on the same
 /// inputs. Same preconditions and output contract as multinomial_into;
@@ -91,19 +70,5 @@ void multinomial_chain_into(Rng& rng, std::uint64_t n,
 void multinomial_alias_into(Rng& rng, std::uint64_t n,
                             std::span<const double> weights,
                             std::span<std::uint64_t> out);
-
-class PhiloxUniformStream;
-
-/// Shared-stream batch: out[i] = Binomial(ns[i], ps[i]) with every draw
-/// consumed sequentially, in index order, from one counter-based uniform
-/// stream (rng/uniform_block.hpp). This is the shared lockstep schedule's
-/// sampler: no per-trial streams to gather, at the deliberate cost of
-/// per-stream bit-identity to the scalar engine. Draw order is the
-/// contract here, so this path is scalar (memoized, never lane-batched)
-/// and self-deterministic by construction. Degenerate draws consume no
-/// uniforms, exactly like the Rng paths.
-void binomial_batch(PhiloxUniformStream& uniforms,
-                    std::span<const std::uint64_t> ns,
-                    std::span<const double> ps, std::span<std::uint64_t> out);
 
 }  // namespace kusd::rng

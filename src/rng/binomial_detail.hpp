@@ -1,19 +1,13 @@
-// The BINV/BTRS sampler arithmetic, shared by the scalar sampler
-// (rng::binomial), the lane-batched cohort kernels (rng/binomial_lanes)
-// and the shared-schedule stream sampler (the PhiloxUniformStream batch
-// overload).
+// The BINV/BTRS sampler arithmetic behind the scalar sampler
+// (rng::binomial) and the multinomial chain (Rng::multinomial_into).
 //
 // Everything here is the single source of truth for the sampler's
-// floating-point expressions. The lane kernels replay them term for
-// term, which is what makes scalar/SIMD bit-identity hold by
-// construction rather than by audit luck — and lets one set of tests pin
-// all execution paths at once. The setup structs exist so per-(n, p)
-// constants can be computed once and broadcast (or memoized) across a
-// batch without changing a single rounding.
+// floating-point expressions, so every caller draws bit-identically and
+// one set of tests pins them all. The setup structs hold the per-(n, p)
+// constants, computed once per draw in a fixed evaluation order.
 //
 // `Uniforms` in the templated samplers is anything with a uniform01()
-// returning doubles in [0, 1): rng::Rng (per-trial streams) or
-// rng::PhiloxUniformStream (the shared lockstep schedule).
+// returning doubles in [0, 1) (rng::Rng).
 #pragma once
 
 #include <array>
@@ -39,7 +33,7 @@ inline constexpr std::uint64_t kBinvCutoff = 110;
 // relative error ~1e-14, the same order as the log path.
 inline constexpr double kNearModeWindow = 64.0;
 
-// The np threshold splitting BINV (below) from BTRS cohorts.
+// The np threshold splitting BINV (below) from BTRS (above).
 inline constexpr double kBtrsCutoff = 10.0;
 
 /// ln(1 - p) without a libm call for small p: the Mercator series
@@ -72,7 +66,7 @@ inline double exp_small(double z) {
 }
 
 /// Per-(n, p) constants of the BINV inversion (p <= 0.5, np < 10): a pure
-/// function of (n, p), so batches memoize it across repeated pairs.
+/// function of (n, p).
 struct BinvSetup {
   double s = 0.0;
   double a = 0.0;
@@ -123,8 +117,7 @@ inline constexpr double kSqrt2 = 1.4142135623730951;
 /// sequence: every accept decision downstream of this function is
 /// identical on every platform and libm version, which a vendor log
 /// (accurate but not correctly rounded) cannot promise. Every operation
-/// is an IEEE-754 basic op, so SIMD lanes evaluating this expression
-/// match the scalar path bit for bit as well.
+/// is an IEEE-754 basic op.
 inline double log_pos(double x) {
   if (x == 0.0) return -std::numeric_limits<double>::infinity();
   std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
@@ -213,10 +206,7 @@ inline constexpr std::array<double, kLogFactorialTableSize>
 };
 
 /// Inline body of rng::log_factorial (see binomial.hpp for the
-/// contract). Lives here so the SIMD lane TUs compile it with their own
-/// ISA flags: an out-of-line call from ymm-dirty code into a legacy-SSE
-/// copy costs a dirty-upper-state penalty per instruction on every
-/// Skylake-class core — measured at ~5x on the whole lane kernel.
+/// contract). Lives here so btrs_exact_accept inlines it.
 inline double log_factorial(std::uint64_t k) {
   if (k < kLogFactorialTableSize) return kLogFactorialTable[k];
   const double dk = static_cast<double>(k);
@@ -368,11 +358,9 @@ inline bool btrs_exact_accept(const BtrsSetup& setup, std::uint64_t n,
 }
 
 /// Squeeze-miss accept test: the log-bound squeeze first, the exact test
-/// for the few candidates it leaves undecided. Every sampler path (the
-/// scalar draw, the lane kernels, the shared-schedule batch) decides
-/// here, so all of them stay bit-identical to each other — and, since
-/// the squeeze only ever agrees with the exact test, to the sampler
-/// before the squeeze existed.
+/// for the few candidates it leaves undecided. Since the squeeze only
+/// ever agrees with the exact test, every draw is bit-identical to the
+/// sampler before the squeeze existed.
 inline bool btrs_accept(const BtrsSetup& setup, std::uint64_t n, double v,
                         double us, double kd, BtrsSlowTerms& slow) {
   switch (btrs_squeeze(setup, v, us, kd)) {
@@ -407,8 +395,8 @@ std::uint64_t btrs(Uniforms& uniforms, const BtrsSetup& setup,
 }
 
 /// Full Binomial(n, p) draw from any uniform01 source: degenerate cases,
-/// reflection for p > 0.5, and the BINV/BTRS split — the scalar reference
-/// every batch path is pinned against. p must already be validated into
+/// reflection for p > 0.5, and the BINV/BTRS split — the one draw path
+/// every caller goes through. p must already be validated into
 /// [0, 1] by the caller.
 template <typename Uniforms>
 std::uint64_t binomial_draw(Uniforms& uniforms, std::uint64_t n, double p) {

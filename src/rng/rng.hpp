@@ -27,9 +27,7 @@ namespace kusd::rng {
   return z ^ (z >> 31);
 }
 
-/// Philox-2x64 round constants (Salmon et al.). Namespace-scoped because
-/// the SIMD keystream tiers (rng/uniform_block_*.cpp) replay the scalar
-/// rounds lane-parallel and must use the identical constants.
+/// Philox-2x64 round constants (Salmon et al.).
 inline constexpr std::uint64_t kPhiloxMultiplier = 0xD2B74407B1CE6E93ULL;
 inline constexpr std::uint64_t kPhiloxWeyl = 0x9E3779B97F4A7C15ULL;
 
@@ -75,9 +73,7 @@ inline constexpr std::uint64_t kPhiloxWeyl = 0x9E3779B97F4A7C15ULL;
 inline constexpr std::uint64_t kAliasTrialsPerCategory = 8;
 
 /// Whether Rng::multinomial_into(n, weights, out) takes the alias-table
-/// form: a function of the trial count and category count only, so
-/// callers that replay the chain's arithmetic themselves (the lockstep
-/// kernel) can route exactly the calls the chain would serve.
+/// form: a function of the trial count and category count only.
 [[nodiscard]] constexpr bool multinomial_uses_alias(std::uint64_t n,
                                                     std::size_t categories) {
   return n <= kAliasTrialsPerCategory * categories;
@@ -165,11 +161,11 @@ class Rng {
   /// Standard normal via Marsaglia polar method.
   double normal();
 
-  /// Raw xoshiro state snapshot/restore: the lane-batched cohort sampler
-  /// (rng/binomial_lanes) gathers trial streams into SoA lane arrays,
-  /// steps them in parallel, and scatters them back. Round-tripping
-  /// through these is the identity; installing anything other than a
-  /// snapshot of a live stream forfeits the seeding-quality guarantees.
+  /// Raw xoshiro state snapshot/restore, for replaying a recorded draw
+  /// from the exact stream position it started at and for pinning stream
+  /// positions in tests. Round-tripping through these is the identity;
+  /// installing anything other than a snapshot of a live stream forfeits
+  /// the seeding-quality guarantees.
   [[nodiscard]] std::array<std::uint64_t, 4> state() const { return state_; }
   void set_state(const std::array<std::uint64_t, 4>& state) { state_ = state; }
 

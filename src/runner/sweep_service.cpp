@@ -427,7 +427,6 @@ std::uint64_t sweep_digest(const Sweep& sweep) {
   fnv.u64(spec.max_time);
   fnv.real(spec.batch_chunk_fraction);
   fnv.u64(static_cast<std::uint64_t>(spec.batch_policy));
-  fnv.u64(static_cast<std::uint64_t>(spec.lockstep_schedule));
   const auto points = sweep.grid();
   fnv.u64(points.size());
   for (const auto& point : points) {
@@ -452,9 +451,7 @@ std::uint64_t sweep_digest(const Sweep& sweep) {
     flags |= info->uses_graph_axis ? 2U : 0U;
     flags |= info->uses_chunk_options ? 4U : 0U;
     flags |= info->aggregated_topology ? 8U : 0U;
-    flags |= info->supports_lockstep ? 16U : 0U;
-    flags |= info->lockstep ? 32U : 0U;
-    flags |= info->default_budget ? 64U : 0U;
+    flags |= info->default_budget ? 16U : 0U;
     fnv.u64(flags);
   }
   return fnv.value();

@@ -18,7 +18,6 @@
 #include "rng/rng.hpp"
 #include "sim/batched_graph_engine.hpp"
 #include "sim/graph_spec.hpp"
-#include "sim/lockstep_batched_engine.hpp"
 #include "urn/urn.hpp"
 #include "util/check.hpp"
 
@@ -320,29 +319,6 @@ void register_builtin_engines(Registry& registry) {
                     "chunked tau-leap, O(k) per Theta(n) interactions",
                 .default_budget = interaction_budget,
                 .uses_chunk_options = true});
-  registry.add(
-      "batched-lockstep",
-      {.factory =
-           [](const pp::Configuration& initial, std::uint64_t seed,
-              const EngineOptions& options) {
-             return std::make_unique<LockstepBatchedEngine>(
-                 initial, seed,
-                 core::LockstepOptions{options.batch,
-                                       options.lockstep_schedule});
-           },
-       .description =
-           "chunked tau-leap advancing a whole trial batch in lockstep",
-       .default_budget = interaction_budget,
-       .uses_chunk_options = true,
-       .supports_lockstep = true,
-       .lockstep = [](const pp::Configuration& initial,
-                      std::span<const std::uint64_t> seeds,
-                      const EngineOptions& options, std::uint64_t budget) {
-         return run_lockstep_trials(
-             initial, seeds,
-             core::LockstepOptions{options.batch, options.lockstep_schedule},
-             budget);
-       }});
   registry.add("sync",
                {.factory =
                     [](const pp::Configuration& initial, std::uint64_t seed,

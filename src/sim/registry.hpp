@@ -27,7 +27,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -35,17 +34,6 @@
 #include "sim/engine.hpp"
 
 namespace kusd::sim {
-
-/// One trial's outcome from a lockstep batch run (EngineInfo::lockstep):
-/// the fields runner::Sweep aggregates into a cell.
-struct LockstepTrialResult {
-  /// Cross-engine comparable time (interactions / n for the tau-leap
-  /// kernel), at consensus or at the budget.
-  double parallel_time = 0.0;
-  bool converged = false;
-  /// Consensus opinion; -1 when the trial timed out.
-  int winner = -1;
-};
 
 struct EngineInfo {
   std::function<std::unique_ptr<Engine>(
@@ -75,27 +63,12 @@ struct EngineInfo {
   /// either (a materialized topology is Theta(n * d) memory; the whole
   /// point of an aggregated engine is to run where that is impossible).
   bool aggregated_topology = false;
-  /// The engine ships a many-trial lockstep kernel: runner::Sweep routes a
-  /// whole cell's trial batch through `lockstep` below instead of running
-  /// Engine instances one seed at a time. The kernel must keep per-stream
-  /// bit-identity (trial t of a batch equals the single-trial engine run
-  /// with seeds[t]), so output stays byte-identical across execution
-  /// modes and thread counts.
-  bool supports_lockstep = false;
-  /// The batch runner behind supports_lockstep: all of `seeds`' trials
-  /// advanced from `initial` until consensus or `budget` native time,
-  /// results in seed order. Unset (default) when the engine has no
-  /// lockstep kernel.
-  std::function<std::vector<LockstepTrialResult>(
-      const pp::Configuration& initial, std::span<const std::uint64_t> seeds,
-      const EngineOptions& options, std::uint64_t budget)>
-      lockstep = nullptr;
 };
 
 class Registry {
  public:
   /// A fresh registry pre-populated with the built-in engines (every,
-  /// skip, batched, batched-lockstep, sync, gossip, graph, graph-batched).
+  /// skip, batched, sync, gossip, graph, graph-batched).
   Registry();
 
   /// The process-wide registry used by run_usd / Sweep / the CLI.

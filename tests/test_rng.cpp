@@ -328,8 +328,9 @@ TEST(Binomial, ReflectionRegimeMomentsMatch) {
 }
 
 TEST(Binomial, DegenerateDrawsConsumeNoStream) {
-  // The documented contract the lockstep kernel's bit-identity relies
-  // on: n == 0, p == 0 and p == 1 return without touching the stream.
+  // The Rng contract (rng/binomial.hpp): n == 0, p == 0 and p == 1
+  // return without touching the stream, so callers that skip degenerate
+  // draws keep the same stream position either way.
   const std::array<std::pair<std::uint64_t, double>, 3> cases = {
       {{0, 0.5}, {17, 0.0}, {17, 1.0}}};
   for (const auto& [n, p] : cases) {
@@ -341,41 +342,21 @@ TEST(Binomial, DegenerateDrawsConsumeNoStream) {
   }
 }
 
-TEST(Binomial, BatchMatchesScalarDrawForDraw) {
-  // binomial_batch is dispatch sugar: per-stream results must equal the
-  // scalar calls in index order, for both the pointer and the contiguous
-  // overloads.
-  const std::size_t lanes = 64;
-  std::vector<std::uint64_t> ns(lanes);
-  std::vector<double> ps(lanes);
-  for (std::size_t i = 0; i < lanes; ++i) {
-    // Mix of regimes: degenerate, BINV, BTRS, reflection.
-    ns[i] = (i % 7 == 0) ? 0 : (i * i * 37 + 1);
-    ps[i] = (i % 5 == 0) ? 0.0 : static_cast<double>(i) / lanes;
+TEST(BinomialEdge, HugeCountsNearTheCap) {
+  // n = 2^62 exercises the BTRS setup at extreme scale and the reflection
+  // path's n - Binomial(n, 1 - p) subtraction. A draw at this n
+  // concentrates within ~1e9 of its mean, so the bands below catch
+  // sign/overflow bugs without flaking.
+  const std::uint64_t huge = std::uint64_t{1} << 62;
+  for (std::uint64_t seed = 60; seed < 64; ++seed) {
+    rng::Rng rng(seed);
+    const std::uint64_t draw = rng::binomial(rng, huge, 0.3);
+    EXPECT_GT(draw, huge / 5) << "seed " << seed;
+    EXPECT_LT(draw, huge / 2) << "seed " << seed;
+    const std::uint64_t reflected = rng::binomial(rng, huge, 0.97);
+    EXPECT_LE(reflected, huge) << "seed " << seed;
+    EXPECT_GT(reflected, huge / 10 * 9) << "seed " << seed;
   }
-  std::vector<rng::Rng> batch_rngs, scalar_rngs;
-  std::vector<rng::Rng*> batch_ptrs;
-  for (std::size_t i = 0; i < lanes; ++i) {
-    batch_rngs.emplace_back(rng::stream_seed(5004, i));
-    scalar_rngs.emplace_back(rng::stream_seed(5004, i));
-  }
-  for (auto& r : batch_rngs) batch_ptrs.push_back(&r);
-  std::vector<std::uint64_t> out_ptr(lanes), out_span(lanes);
-  rng::binomial_batch(std::span<rng::Rng* const>(batch_ptrs), ns, ps,
-                      out_ptr);
-  for (std::size_t i = 0; i < lanes; ++i) {
-    const auto scalar = rng::binomial(scalar_rngs[i], ns[i], ps[i]);
-    EXPECT_EQ(out_ptr[i], scalar) << "lane " << i;
-    // Stream positions must agree afterwards too.
-    EXPECT_EQ(batch_rngs[i].next_u64(), scalar_rngs[i].next_u64())
-        << "lane " << i;
-  }
-  std::vector<rng::Rng> span_rngs;
-  for (std::size_t i = 0; i < lanes; ++i) {
-    span_rngs.emplace_back(rng::stream_seed(5004, i));
-  }
-  rng::binomial_batch(std::span<rng::Rng>(span_rngs), ns, ps, out_span);
-  EXPECT_EQ(out_span, out_ptr);
 }
 
 TEST(Binomial, LogFactorialMatchesLgamma) {

@@ -88,9 +88,6 @@ std::string graph_engine_names() {
       "           --budget B (per-trial native-time cap; 0 = engine default,\n"
       "             raise it for slow topologies like --graph cycle)\n"
       "           --threads W --chunk F --chunk-policy fixed|adaptive\n"
-      "           --lockstep-schedule per-trial|shared (batched-lockstep:\n"
-      "             shared = one chunk controller + uniform stream per\n"
-      "             cell; faster, deterministic, not stream-identical)\n"
       "           --stripe-width T (trials per work-stealing unit)\n"
       "           --shuffle-points 0|1 (shuffled execution order;\n"
       "             output order and bytes are unaffected)\n"
@@ -236,21 +233,42 @@ void reject_unknown_options(const Args& args,
   }
 }
 
+// The population flags are validated before any Configuration factory
+// sees them, so a bad value is a usage error naming the flag rather than
+// an internal check failure.
+int get_k(const Args& args, std::uint64_t fallback) {
+  const std::uint64_t k = args.get_u64("k", fallback);
+  if (k < 1 || k > (std::uint64_t{1} << 30)) {
+    std::fprintf(stderr, "--k must be in [1, 2^30]\n");
+    usage();
+  }
+  return static_cast<int>(k);
+}
+
 pp::Configuration build_config(const Args& args) {
   const pp::Count n = args.get_count("n", 100000);
-  const int k = static_cast<int>(args.get_u64("k", 8));
+  const int k = get_k(args, 8);
   const pp::Count u = args.get_u64("undecided", 0);
+  if (u > n) {
+    std::fprintf(stderr, "--undecided %llu exceeds --n %llu\n",
+                 static_cast<unsigned long long>(u),
+                 static_cast<unsigned long long>(n));
+    usage();
+  }
   const std::string bias = args.get_string("bias", "none");
   if (bias == "none") return pp::Configuration::uniform(n, k, u);
+  if (bias != "additive" && bias != "multiplicative") usage();
+  if (k < 2) {
+    std::fprintf(stderr, "--bias %s needs --k of at least 2\n",
+                 bias.c_str());
+    usage();
+  }
   if (bias == "additive") {
     const pp::Count beta = args.get_u64("beta", n / 100);
     return pp::Configuration::with_additive_bias(n, k, u, beta);
   }
-  if (bias == "multiplicative") {
-    const double alpha = args.get_double("alpha", 2.0);
-    return pp::Configuration::with_multiplicative_bias(n, k, u, alpha);
-  }
-  usage();
+  const double alpha = args.get_double("alpha", 2.0);
+  return pp::Configuration::with_multiplicative_bias(n, k, u, alpha);
 }
 
 int cmd_run(const Args& args) {
@@ -352,7 +370,7 @@ int cmd_sweep(const Args& args) {
   static const std::set<std::string> known = {
       "n",      "k",     "engine", "graph",   "bias", "beta", "alpha",
       "undecided", "ufrac", "budget", "trials", "seed", "threads",
-      "chunk", "chunk-policy", "lockstep-schedule", "start", "stripe-width",
+      "chunk", "chunk-policy", "start", "stripe-width",
       "shuffle-points", "shard", "journal", "resume", "out", "json"};
   reject_unknown_options(args, known);
   const std::string bias_kind = args.get_string("bias", "none");
@@ -481,17 +499,6 @@ int cmd_sweep(const Args& args) {
       usage();
     }
     spec.batch_policy = *policy;
-  }
-  {
-    const std::string schedule_name =
-        args.get_string("lockstep-schedule", "per-trial");
-    const auto schedule = core::parse_lockstep_schedule(schedule_name);
-    if (!schedule) {
-      std::fprintf(stderr, "unknown lockstep schedule '%s'\n",
-                   schedule_name.c_str());
-      usage();
-    }
-    spec.lockstep_schedule = *schedule;
   }
   {
     const std::uint64_t width =
@@ -678,7 +685,7 @@ int cmd_exact(const Args& args) {
   static const std::set<std::string> known = {"n", "k", "support"};
   reject_unknown_options(args, known);
   const pp::Count n = args.get_count("n", 12);
-  const int k = static_cast<int>(args.get_u64("k", 2));
+  const int k = get_k(args, 2);
   std::vector<pp::Count> support;
   const std::string spec = args.get_string("support", "");
   if (spec.empty()) {

@@ -1,8 +1,7 @@
 """Shared C++ lexing for the kusdlint passes.
 
-Promoted from the original lint_determinism.py and hardened: raw string
-literals (R"delim(...)delim") are now blanked too, so a regex pass can no
-longer be confused by an unescaped quote inside one. Everything is
+Raw string literals (R"delim(...)delim") are blanked too, so a regex
+pass cannot be confused by an unescaped quote inside one. Everything is
 line-preserving — blanked regions are replaced character-for-character
 with spaces (newlines kept) so finding line numbers stay exact.
 """

@@ -4,9 +4,9 @@ The determinism pass bans the stdlib engines outright; this pass goes
 one level deeper and checks *provenance*: randomness in the library must
 flow from `rng::stream_seed(master_seed, stream_id)` into an `rng::Rng`,
 because that is the only construction whose streams are independent by
-the Philox argument (see src/rng/rng.hpp). Everything is scoped outside
-src/rng/ — the substrate itself is where the primitives legitimately
-live.
+the Philox argument (see src/rng/rng.hpp). Every check but
+raw-intrinsics is scoped outside src/rng/ — the substrate itself is
+where the primitives legitimately live.
 
 Codes:
   std-distribution   std::*_distribution constructed outside src/rng/ —
@@ -22,11 +22,10 @@ Codes:
                      derive a per-iteration stream with stream_seed
                      instead
   raw-intrinsics     x86 vector intrinsics (`_mm*_...`, `__m128/256/512`,
-                     `<*intrin.h>`) outside src/rng/ — SIMD lives behind
-                     the tier dispatch (rng/simd.hpp) so every tier stays
-                     bit-identical and the KUSD_SIMD=OFF build stays
-                     complete; hand-rolled intrinsics elsewhere would
-                     fork results by instruction set
+                     `<*intrin.h>`) anywhere in src/, src/rng/ included —
+                     the library is portable scalar C++, and hand-rolled
+                     intrinsics would fork results (or the build) by
+                     instruction set
 """
 
 import re
@@ -86,23 +85,32 @@ def loop_depth_by_line(stripped: str) -> list[int]:
 class RngDisciplinePass(base.Pass):
     name = "rng-discipline"
     description = ("randomness provenance outside src/rng/: stream_seed "
-                   "flow, no literal seeds, no Rng copies in loops, no "
-                   "raw vector intrinsics")
+                   "flow, no literal seeds, no Rng copies in loops; no "
+                   "raw vector intrinsics anywhere in src/")
 
     def __init__(self):
         self.checked = 0
 
     def run(self, ctx):
         findings = []
-        files = [f for f in ctx.cpp_files("src")
-                 if not f.startswith("src/rng/")]
+        files = ctx.cpp_files("src")
         self.checked = len(files)
         for rel in files:
             stripped = ctx.read_stripped(rel)
             lines = stripped.splitlines()
+            substrate = rel.startswith("src/rng/")
             depths = loop_depth_by_line(stripped)
             for idx, line in enumerate(lines):
                 lineno = idx + 1
+                if RAW_INTRINSIC.search(line):
+                    findings.append(base.Finding(
+                        file=rel, line=lineno, code="raw-intrinsics",
+                        message="raw vector intrinsics in src/ — the "
+                                "library is portable scalar C++, so "
+                                "results never depend on the instruction "
+                                "set"))
+                if substrate:
+                    continue
                 if STD_DISTRIBUTION.search(line):
                     findings.append(base.Finding(
                         file=rel, line=lineno, code="std-distribution",
@@ -122,13 +130,6 @@ class RngDisciplinePass(base.Pass):
                         message="stream_seed() with a literal master seed "
                                 "pins the stream — the master seed must "
                                 "come from the caller"))
-                if RAW_INTRINSIC.search(line):
-                    findings.append(base.Finding(
-                        file=rel, line=lineno, code="raw-intrinsics",
-                        message="raw vector intrinsics outside src/rng/ — "
-                                "vector code belongs behind the tier "
-                                "dispatch in rng/simd.hpp so results "
-                                "never depend on the instruction set"))
                 if RNG_COPY.search(line) and depths[idx] > 0:
                     findings.append(base.Finding(
                         file=rel, line=lineno, code="rng-copy-in-loop",
