@@ -32,7 +32,7 @@ namespace {
 double time_plain_budget(const pp::Configuration& x0, std::uint64_t budget,
                          std::uint64_t seed) {
   core::UsdSimulator sim(x0, rng::Rng(seed),
-                         core::UsdOptions{core::StepMode::kEveryInteraction});
+                         core::StepMode::kEveryInteraction);
   util::Stopwatch watch;
   sim.run_to_consensus(budget);
   return watch.seconds();
@@ -53,7 +53,7 @@ struct PolicyRun {
   bool converged = false;
 };
 
-PolicyRun run_policy(const pp::Configuration& x0, core::BatchedOptions options,
+PolicyRun run_policy(const pp::Configuration& x0, core::ChunkOptions options,
                      std::uint64_t seed) {
   core::BatchedUsdSimulator sim(x0, rng::Rng(seed), options);
   util::Stopwatch watch;
@@ -68,7 +68,7 @@ PolicyRun run_policy(const pp::Configuration& x0, core::BatchedOptions options,
 
 std::vector<double> consensus_times(const pp::Configuration& x0, int trials,
                                     std::uint64_t seed_base,
-                                    const core::BatchedOptions* options) {
+                                    const core::ChunkOptions* options) {
   std::vector<double> out;
   out.reserve(static_cast<std::size_t>(trials));
   for (int t = 0; t < trials; ++t) {
@@ -78,7 +78,7 @@ std::vector<double> consensus_times(const pp::Configuration& x0, int trials,
     if (options == nullptr) {
       core::UsdSimulator sim(
           x0, rng::Rng(seed),
-          core::UsdOptions{core::StepMode::kEveryInteraction});
+          core::StepMode::kEveryInteraction);
       sim.run_to_consensus(~std::uint64_t{0});
       interactions = sim.interactions();
     } else {
@@ -131,8 +131,8 @@ int main() {
     const pp::Count n = runner::scaled(100'000'000);
     const int k = 32;
     const auto x0 = pp::Configuration::uniform(n, k, 0);
-    core::BatchedOptions fixed;  // 2% chunks
-    core::BatchedOptions adaptive;
+    core::ChunkOptions fixed;  // 2% chunks
+    core::ChunkOptions adaptive;
     adaptive.policy = core::ChunkPolicy::kAdaptive;
 
     const auto fixed_run = run_policy(x0, fixed, 0xE10A);

@@ -29,7 +29,7 @@ struct AtT1 {
 
 AtT1 measure(const pp::Configuration& x0, std::uint64_t seed) {
   core::UsdSimulator sim(x0, rng::Rng(seed),
-                         core::UsdOptions{core::StepMode::kSkipUnproductive});
+                         core::StepMode::kSkipUnproductive);
   const double gap0 = static_cast<double>(x0.opinion(0)) -
                       static_cast<double>(x0.opinion(1));
   const double x1_0 = static_cast<double>(x0.opinion(0));

@@ -11,12 +11,14 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "core/usd.hpp"
 #include "gossip/gossip_usd.hpp"
 #include "pp/configuration.hpp"
 #include "pp/scheduler.hpp"
 #include "rng/rng.hpp"
+#include "urn/urn.hpp"
 
 namespace {
 
@@ -26,8 +28,8 @@ using namespace kusd;
 // (outside the timed region) whenever consensus is reached.
 class UsdStepper {
  public:
-  UsdStepper(pp::Configuration x0, core::UsdOptions options)
-      : x0_(std::move(x0)), options_(options), sim_(make()) {}
+  UsdStepper(pp::Configuration x0, core::StepMode mode)
+      : x0_(std::move(x0)), mode_(mode), sim_(make()) {}
 
   void step(benchmark::State& state) {
     if (sim_.is_consensus()) {
@@ -46,11 +48,11 @@ class UsdStepper {
 
  private:
   core::UsdSimulator make() {
-    return core::UsdSimulator(x0_, rng::Rng(++seed_), options_);
+    return core::UsdSimulator(x0_, rng::Rng(++seed_), mode_);
   }
 
   pp::Configuration x0_;
-  core::UsdOptions options_;
+  core::StepMode mode_;
   std::uint64_t seed_ = 0;
   std::uint64_t interactions_done_ = 0;
   core::UsdSimulator sim_;
@@ -59,7 +61,7 @@ class UsdStepper {
 void BM_UsdPlainStep(benchmark::State& state) {
   const auto k = static_cast<int>(state.range(0));
   UsdStepper stepper(pp::Configuration::uniform(100000, k, 25000),
-                     core::UsdOptions{core::StepMode::kEveryInteraction});
+                     core::StepMode::kEveryInteraction);
   for (auto _ : state) stepper.step(state);
   state.SetItemsProcessed(stepper.interactions());
 }
@@ -68,28 +70,32 @@ BENCHMARK(BM_UsdPlainStep)->Arg(2)->Arg(16)->Arg(128)->Arg(1024);
 void BM_UsdSkipStep(benchmark::State& state) {
   const auto k = static_cast<int>(state.range(0));
   UsdStepper stepper(pp::Configuration::uniform(100000, k, 25000),
-                     core::UsdOptions{core::StepMode::kSkipUnproductive});
+                     core::StepMode::kSkipUnproductive);
   for (auto _ : state) stepper.step(state);
   state.SetItemsProcessed(stepper.interactions());
 }
 BENCHMARK(BM_UsdSkipStep)->Arg(2)->Arg(16)->Arg(128)->Arg(1024);
 
+// The urn engine crossover behind urn::kLinearThreshold: one sample plus
+// one +1/-1 update per iteration (the USD's per-interaction urn work) on
+// LinearUrn vs FenwickUrn, at a k below and above the threshold.
+template <typename UrnT>
 void BM_UrnEngine(benchmark::State& state) {
-  const auto k = static_cast<int>(state.range(0));
-  const bool fenwick = state.range(1) != 0;
-  UsdStepper stepper(
-      pp::Configuration::uniform(100000, k, 25000),
-      core::UsdOptions{core::StepMode::kEveryInteraction,
-                       fenwick ? urn::UrnEngine::kFenwick
-                               : urn::UrnEngine::kLinear});
-  for (auto _ : state) stepper.step(state);
-  state.SetItemsProcessed(stepper.interactions());
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const std::vector<std::uint64_t> counts(k, 1000);
+  UrnT urn(counts);
+  rng::Rng rng(1);
+  std::int64_t delta = -1;
+  for (auto _ : state) {
+    // Alternate -1/+1 on the sampled category: the total stays within one
+    // of its start, so the weights never drift far from uniform.
+    urn.add(urn.sample(rng), delta);
+    delta = -delta;
+  }
+  state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_UrnEngine)
-    ->Args({16, 0})
-    ->Args({16, 1})
-    ->Args({256, 0})
-    ->Args({256, 1});
+BENCHMARK_TEMPLATE(BM_UrnEngine, urn::LinearUrn)->Arg(16)->Arg(256);
+BENCHMARK_TEMPLATE(BM_UrnEngine, urn::FenwickUrn)->Arg(16)->Arg(256);
 
 void BM_AgentScheduler(benchmark::State& state) {
   const auto k = static_cast<int>(state.range(0));

@@ -36,7 +36,7 @@ struct Band {
 Band measure(pp::Count n, int k, std::uint64_t seed) {
   const auto x0 = pp::Configuration::uniform(n, k, 0);
   core::UsdSimulator sim(x0, rng::Rng(seed),
-                         core::UsdOptions{core::StepMode::kSkipUnproductive});
+                         core::StepMode::kSkipUnproductive);
   Band band;
   band.upper_ok = true;
   band.lower_ok = true;

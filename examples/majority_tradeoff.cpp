@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
       core::UsdSimulator sim(
           pp::Configuration({a, b}, 0),
           rng::Rng(rng::stream_seed(10, static_cast<std::uint64_t>(t))),
-          core::UsdOptions{core::StepMode::kSkipUnproductive});
+          core::StepMode::kSkipUnproductive);
       sim.run_to_consensus(1ull << 40);
       usd_correct += sim.consensus_opinion() == 0 ? 1 : 0;
       usd_cost += static_cast<double>(sim.interactions());

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
 
   const auto initial = pp::Configuration::uniform(n, k, 0);
   core::UsdSimulator sim(initial, rng::Rng(seed),
-                         core::UsdOptions{core::StepMode::kSkipUnproductive});
+                         core::StepMode::kSkipUnproductive);
   core::PhaseTracker tracker(n, 1.0);
 
   std::printf("USD trace: n=%llu k=%d  (u* = %.0f)\n",

@@ -66,16 +66,22 @@ void solve_dense(std::vector<double>& a, std::vector<double>& b,
 
 }  // namespace
 
+double UsdExactSolver::state_count(pp::Count n, int k) {
+  // C(n+k, k) as a running product; the partial products increase, so
+  // stopping past the limit keeps huge k from costing k iterations.
+  double count = 1.0;
+  for (int i = 1; i <= k && count <= kMaxStates; ++i) {
+    count *= static_cast<double>(n + static_cast<pp::Count>(i)) /
+             static_cast<double>(i);
+  }
+  return count;
+}
+
 UsdExactSolver::UsdExactSolver(pp::Count n, int k) : n_(n), k_(k) {
   KUSD_CHECK_MSG(n >= 2, "need at least two agents");
   KUSD_CHECK_MSG(k >= 1, "need at least one opinion");
-  // State count is C(n+k, k); bound it before enumerating anything.
-  double state_count = 1.0;
-  for (int i = 1; i <= k; ++i) {
-    state_count *= static_cast<double>(n + static_cast<pp::Count>(i)) /
-                   static_cast<double>(i);
-  }
-  KUSD_CHECK_MSG(state_count <= 2500.0,
+  // Bound the state space before enumerating anything.
+  KUSD_CHECK_MSG(state_count(n, k) <= kMaxStates,
                  "state space too large for the exact solver");
   std::vector<pp::Count> scratch(static_cast<std::size_t>(k), 0);
   enumerate_states(k, scratch, 0, n, states_);

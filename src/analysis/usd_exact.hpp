@@ -19,8 +19,15 @@ namespace kusd::analysis {
 
 class UsdExactSolver {
  public:
+  /// Largest state space the dense solver accepts.
+  static constexpr double kMaxStates = 2500.0;
+
+  /// C(n+k, k), the number of states of the (n, k) chain — exact up to
+  /// kMaxStates; above it, some value that is also above it.
+  [[nodiscard]] static double state_count(pp::Count n, int k);
+
   /// Builds and solves the k-opinion chain on n agents. Cost grows like
-  /// C(n+k,k)^3; KUSD_CHECK rejects state spaces above ~2500 states.
+  /// C(n+k,k)^3; KUSD_CHECK rejects state spaces above kMaxStates.
   UsdExactSolver(pp::Count n, int k);
 
   [[nodiscard]] pp::Count n() const { return n_; }

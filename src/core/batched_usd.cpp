@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "core/stepping.hpp"
+#include "core/budget.hpp"
 #include "pp/configuration.hpp"
 #include "rng/rng.hpp"
 #include "util/check.hpp"
@@ -10,7 +10,7 @@
 namespace kusd::core {
 
 BatchedUsdSimulator::BatchedUsdSimulator(const pp::Configuration& initial,
-                                         rng::Rng rng, BatchedOptions options)
+                                         rng::Rng rng, ChunkOptions options)
     : opinions_(initial.opinions().begin(), initial.opinions().end()),
       undecided_(initial.undecided()),
       n_(initial.n()),
@@ -43,32 +43,19 @@ void BatchedUsdSimulator::step(std::uint64_t max_length) {
   }
 }
 
-bool BatchedUsdSimulator::run_to_consensus(std::uint64_t max_interactions) {
-  return detail::run_sim_to_consensus(*this, max_interactions);
+void BatchedUsdSimulator::advance(std::uint64_t budget) {
+  const std::uint64_t target = saturating_add(interactions_, budget);
+  while (!is_consensus() && interactions_ < target) {
+    step(target - interactions_);
+  }
 }
 
-bool BatchedUsdSimulator::run_observed(std::uint64_t max_interactions,
-                                       std::uint64_t interval,
-                                       const UsdSimulator::Observer& observer) {
-  KUSD_CHECK_MSG(interval > 0, "observer interval must be positive");
-  // Unlike the shared driver in stepping.hpp (which reports at the first
-  // step past each boundary — the right contract for engines advancing one
-  // interaction at a time), chunks here are clamped so the trajectory
-  // lands exactly on every multiple of `interval`: phase-tracker
-  // milestones are then measured at the boundary itself instead of up to a
-  // chunk later.
-  observer(interactions_, opinions_, undecided_);
-  std::uint64_t next = interactions_ + interval;
-  while (!is_consensus() && interactions_ < max_interactions) {
-    const std::uint64_t stop = std::min(next, max_interactions);
-    step(stop - interactions_);
-    if (interactions_ == next) {
-      observer(interactions_, opinions_, undecided_);
-      next += interval;
-    }
-  }
-  observer(interactions_, opinions_, undecided_);
-  return is_consensus();
+std::uint64_t BatchedUsdSimulator::default_budget() const {
+  return default_interaction_cap(n_, k());
+}
+
+std::uint64_t BatchedUsdSimulator::default_observe_interval() const {
+  return std::max<std::uint64_t>(1, n_ / 8);
 }
 
 }  // namespace kusd::core

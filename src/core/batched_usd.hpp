@@ -27,53 +27,54 @@
 #include <vector>
 
 #include "core/chunk_controller.hpp"
+#include "core/engine.hpp"
 #include "core/round_engine.hpp"
-#include "core/usd.hpp"
 #include "pp/configuration.hpp"
 #include "rng/rng.hpp"
 
 namespace kusd::core {
 
-/// Chunk-schedule options of the batched engine. The alias keeps PR-2
-/// call sites (brace-initializing the leading chunk_fraction) meaning "fixed-fraction chunks".
-using BatchedOptions = ChunkOptions;
-
-class BatchedUsdSimulator {
+/// The "batched" engine: native time is interactions, and advance()
+/// clamps chunks so budgets and observation boundaries land exactly.
+class BatchedUsdSimulator final : public Engine {
  public:
   BatchedUsdSimulator(const pp::Configuration& initial, rng::Rng rng,
-                      BatchedOptions options = {});
+                      ChunkOptions options = {});
 
   /// Advance one chunk (possibly halved on overshoot; at least one
   /// interaction). The proposed chunk is clamped to `max_length`
-  /// interactions, which run_observed uses to land exactly on observation
-  /// boundaries.
+  /// interactions, which advance() uses to land exactly on its target.
   void step(std::uint64_t max_length = ~std::uint64_t{0});
 
-  /// Run until consensus or until `max_interactions` have elapsed.
-  bool run_to_consensus(std::uint64_t max_interactions);
+  void advance(std::uint64_t budget) override;
 
-  /// Same contract as UsdSimulator::run_observed, and exact about
-  /// boundaries: chunks are clamped so the observer fires exactly at every
-  /// multiple of `interval` (and never past `max_interactions`), rather
-  /// than at the first chunk boundary beyond it.
-  bool run_observed(std::uint64_t max_interactions, std::uint64_t interval,
-                    const UsdSimulator::Observer& observer);
-
-  // ---- Inspection (mirrors UsdSimulator) ----
+  // ---- Inspection ----
   [[nodiscard]] std::uint64_t interactions() const { return interactions_; }
   /// Number of multinomial chunks drawn so far (including halved retries).
   [[nodiscard]] std::uint64_t chunks() const { return chunks_; }
-  [[nodiscard]] pp::Count n() const { return n_; }
-  [[nodiscard]] int k() const { return static_cast<int>(opinions_.size()); }
+  [[nodiscard]] pp::Count n() const override { return n_; }
   [[nodiscard]] std::span<const pp::Count> opinions() const {
+    return opinions_;
+  }
+  [[nodiscard]] std::span<const pp::Count> counts() const override {
     return opinions_;
   }
   [[nodiscard]] pp::Count opinion(int i) const {
     return opinions_[static_cast<std::size_t>(i)];
   }
-  [[nodiscard]] pp::Count undecided() const { return undecided_; }
-  [[nodiscard]] bool is_consensus() const { return winner_.has_value(); }
-  [[nodiscard]] int consensus_opinion() const { return *winner_; }
+  [[nodiscard]] pp::Count undecided() const override { return undecided_; }
+  [[nodiscard]] std::uint64_t elapsed() const override {
+    return interactions_;
+  }
+  [[nodiscard]] double parallel_time() const override {
+    return static_cast<double>(interactions_) / static_cast<double>(n_);
+  }
+  [[nodiscard]] bool is_consensus() const override {
+    return winner_.has_value();
+  }
+  [[nodiscard]] int consensus_opinion() const override { return *winner_; }
+  [[nodiscard]] std::uint64_t default_budget() const override;
+  [[nodiscard]] std::uint64_t default_observe_interval() const override;
   [[nodiscard]] pp::Configuration configuration() const {
     return pp::Configuration(opinions_, undecided_);
   }

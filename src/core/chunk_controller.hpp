@@ -78,9 +78,8 @@ struct AdaptiveChunkOptions {
   double trend_alpha = 0.25;
 };
 
-/// Options of the batched engine's chunk schedule. The first member keeps
-/// brace-initialization compatibility with the PR-2 BatchedOptions
-/// (`{0.02}` still means "fixed 2% chunks").
+/// Options of the batched engines' chunk schedule. The first member is the
+/// fixed fraction, so `{0.02}` means "fixed 2% chunks".
 struct ChunkOptions {
   /// Chunk length under kFixed, as a fraction of n.
   double chunk_fraction = 0.02;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/budget.hpp"
 #include "pp/configuration.hpp"
 #include "rng/rng.hpp"
 #include "util/check.hpp"
@@ -94,9 +95,18 @@ void DynamicsScheduler::step() {
   }
 }
 
-bool DynamicsScheduler::run_to_consensus(std::uint64_t max_activations) {
-  while (!winner_.has_value() && activations_ < max_activations) step();
-  return winner_.has_value();
+void DynamicsScheduler::advance(std::uint64_t budget) {
+  const std::uint64_t target = saturating_add(activations_, budget);
+  while (!is_consensus() && activations_ < target) step();
+}
+
+std::uint64_t DynamicsScheduler::default_budget() const {
+  const double n = static_cast<double>(n_);
+  return saturating_cap(10.0 * n * n);
+}
+
+std::uint64_t DynamicsScheduler::default_observe_interval() const {
+  return std::max<std::uint64_t>(1, n_ / 8);
 }
 
 }  // namespace kusd::core

@@ -17,6 +17,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/engine.hpp"
 #include "pp/configuration.hpp"
 #include "rng/rng.hpp"
 #include "urn/urn.hpp"
@@ -89,23 +90,37 @@ class MedianRuleDynamics final : public SamplingDynamics {
 };
 
 /// Sequential (asynchronous) scheduler for sampling dynamics: each step
-/// activates one uniformly random agent. Count-based, like the USD engine.
-class DynamicsScheduler {
+/// activates one uniformly random agent. Count-based, like the USD engine;
+/// native time is activations.
+class DynamicsScheduler final : public Engine {
  public:
   DynamicsScheduler(const SamplingDynamics& dynamics,
                     const pp::Configuration& initial, rng::Rng rng);
 
   void step();
-  /// Returns true iff consensus was reached within `max_activations`.
-  bool run_to_consensus(std::uint64_t max_activations);
+  void advance(std::uint64_t budget) override;
 
   [[nodiscard]] std::uint64_t activations() const { return activations_; }
-  [[nodiscard]] pp::Count n() const { return n_; }
-  [[nodiscard]] std::span<const pp::Count> counts() const {
+  [[nodiscard]] pp::Count n() const override { return n_; }
+  [[nodiscard]] std::span<const pp::Count> counts() const override {
     return opinions_.counts();
   }
-  [[nodiscard]] bool is_consensus() const { return winner_.has_value(); }
-  [[nodiscard]] int consensus_opinion() const { return *winner_; }
+  /// Sampling dynamics have no undecided state.
+  [[nodiscard]] pp::Count undecided() const override { return 0; }
+  [[nodiscard]] std::uint64_t elapsed() const override {
+    return activations_;
+  }
+  [[nodiscard]] double parallel_time() const override {
+    return static_cast<double>(activations_) / static_cast<double>(n_);
+  }
+  [[nodiscard]] bool is_consensus() const override {
+    return winner_.has_value();
+  }
+  [[nodiscard]] int consensus_opinion() const override { return *winner_; }
+  /// 10 n^2 activations: the voter model, the slowest of these dynamics,
+  /// needs Theta(n^2) on the complete graph.
+  [[nodiscard]] std::uint64_t default_budget() const override;
+  [[nodiscard]] std::uint64_t default_observe_interval() const override;
 
  private:
   const SamplingDynamics& dynamics_;

@@ -1,10 +1,10 @@
-#include "sim/engine.hpp"
+#include "core/engine.hpp"
 
 #include <algorithm>
 
 #include "util/check.hpp"
 
-namespace kusd::sim {
+namespace kusd::core {
 
 bool Engine::run_to_consensus(std::uint64_t max_native) {
   while (!is_consensus() && elapsed() < max_native) {
@@ -38,4 +38,4 @@ bool Engine::run_observed(std::uint64_t max_native, std::uint64_t interval,
   return is_consensus();
 }
 
-}  // namespace kusd::sim
+}  // namespace kusd::core

@@ -1,5 +1,6 @@
 #include "core/sync_usd.hpp"
 
+#include "core/engine.hpp"
 #include "pp/configuration.hpp"
 #include "rng/rng.hpp"
 #include "util/check.hpp"
@@ -54,11 +55,9 @@ std::uint64_t SyncUsd::super_round() {
   return sub_rounds;
 }
 
-bool SyncUsd::run_to_consensus(std::uint64_t max_super_rounds) {
-  while (!winner_.has_value() && super_rounds_ < max_super_rounds) {
-    super_round();
-  }
-  return winner_.has_value();
+void SyncUsd::advance(std::uint64_t budget) {
+  const std::uint64_t target = saturating_add(super_rounds_, budget);
+  while (!is_consensus() && super_rounds_ < target) super_round();
 }
 
 }  // namespace kusd::core

@@ -17,13 +17,18 @@
 #include <span>
 #include <vector>
 
+#include "core/budget.hpp"
+#include "core/engine.hpp"
 #include "core/round_engine.hpp"
 #include "pp/configuration.hpp"
 #include "rng/rng.hpp"
 
 namespace kusd::core {
 
-class SyncUsd {
+/// The "sync" engine: native time is super-rounds; parallel_time counts
+/// every synchronous round including re-adoption sub-rounds (the
+/// comparable metric the paper's polylog bounds are stated in).
+class SyncUsd final : public Engine {
  public:
   SyncUsd(const pp::Configuration& initial, rng::Rng rng);
 
@@ -32,18 +37,36 @@ class SyncUsd {
   /// re-adoption sub-rounds used.
   std::uint64_t super_round();
 
-  /// Returns true iff consensus was reached within `max_super_rounds`.
-  bool run_to_consensus(std::uint64_t max_super_rounds);
+  void advance(std::uint64_t budget) override;
 
   [[nodiscard]] std::uint64_t super_rounds() const { return super_rounds_; }
   /// Total synchronous rounds including re-adoption sub-rounds.
   [[nodiscard]] std::uint64_t total_rounds() const { return total_rounds_; }
-  [[nodiscard]] pp::Count n() const { return n_; }
+  [[nodiscard]] pp::Count n() const override { return n_; }
   [[nodiscard]] std::span<const pp::Count> opinions() const {
     return opinions_;
   }
-  [[nodiscard]] bool is_consensus() const { return winner_.has_value(); }
-  [[nodiscard]] int consensus_opinion() const { return *winner_; }
+  [[nodiscard]] std::span<const pp::Count> counts() const override {
+    return opinions_;
+  }
+  /// Fully decided between super-rounds.
+  [[nodiscard]] pp::Count undecided() const override { return 0; }
+  [[nodiscard]] std::uint64_t elapsed() const override {
+    return super_rounds_;
+  }
+  [[nodiscard]] double parallel_time() const override {
+    return static_cast<double>(total_rounds_);
+  }
+  [[nodiscard]] bool is_consensus() const override {
+    return winner_.has_value();
+  }
+  [[nodiscard]] int consensus_opinion() const override { return *winner_; }
+  [[nodiscard]] std::uint64_t default_budget() const override {
+    return sync_round_cap(n_);
+  }
+  [[nodiscard]] std::uint64_t default_observe_interval() const override {
+    return 1;
+  }
 
  private:
   std::vector<pp::Count> opinions_;

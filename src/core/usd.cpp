@@ -1,6 +1,8 @@
 #include "core/usd.hpp"
 
-#include "core/stepping.hpp"
+#include <algorithm>
+
+#include "core/budget.hpp"
 #include "pp/configuration.hpp"
 #include "pp/protocol.hpp"
 #include "rng/rng.hpp"
@@ -26,15 +28,6 @@ pp::PairTransition UsdProtocol::apply(int responder, int initiator) const {
   return {responder, initiator};  // unproductive
 }
 
-const char* engine_name(StepMode mode) {
-  switch (mode) {
-    case StepMode::kEveryInteraction: return "every";
-    case StepMode::kSkipUnproductive: return "skip";
-    case StepMode::kBatchedRounds: return "batched";
-  }
-  return "?";
-}
-
 namespace {
 std::uint64_t square(pp::Count c) {
   return static_cast<std::uint64_t>(c) * static_cast<std::uint64_t>(c);
@@ -42,15 +35,12 @@ std::uint64_t square(pp::Count c) {
 }  // namespace
 
 UsdSimulator::UsdSimulator(const pp::Configuration& initial, rng::Rng rng,
-                           UsdOptions options)
-    : opinions_(initial.opinions(), options.engine),
+                           StepMode mode)
+    : opinions_(initial.opinions()),
       undecided_(initial.undecided()),
       n_(initial.n()),
       rng_(rng),
-      mode_(options.mode) {
-  KUSD_CHECK_MSG(mode_ != StepMode::kBatchedRounds,
-                 "StepMode::kBatchedRounds is served by BatchedUsdSimulator "
-                 "(use runner::run_usd or construct it directly)");
+      mode_(mode) {
   KUSD_CHECK_MSG(n_ < (std::uint64_t{1} << 32),
                  "population must fit in 32 bits (n^2 must fit in 64)");
   KUSD_CHECK_MSG(initial.decided() >= 1,
@@ -143,15 +133,17 @@ void UsdSimulator::step_skip() {
   }
 }
 
-bool UsdSimulator::run_to_consensus(std::uint64_t max_interactions) {
-  return detail::run_sim_to_consensus(*this, max_interactions);
+void UsdSimulator::advance(std::uint64_t budget) {
+  const std::uint64_t target = saturating_add(interactions_, budget);
+  while (!is_consensus() && interactions_ < target) step();
 }
 
-bool UsdSimulator::run_observed(std::uint64_t max_interactions,
-                                std::uint64_t interval,
-                                const Observer& observer) {
-  return detail::run_sim_observed(*this, max_interactions, interval,
-                                  observer);
+std::uint64_t UsdSimulator::default_budget() const {
+  return default_interaction_cap(n_, k());
+}
+
+std::uint64_t UsdSimulator::default_observe_interval() const {
+  return std::max<std::uint64_t>(1, n_ / 8);
 }
 
 }  // namespace kusd::core

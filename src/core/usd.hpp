@@ -5,19 +5,20 @@
 //  * UsdProtocol — the transition function as a pp::PairProtocol, usable
 //    with the generic schedulers (and the form in which the protocol is
 //    stated in Section 2 of the paper).
-//  * UsdSimulator — the tuned count-based engine used by the benches. It
-//    samples the exact same Markov chain (one uniformly random ordered
-//    (responder, initiator) pair per interaction, self-pairs allowed) but
-//    exploits USD structure: only the responder ever changes, consensus is
-//    detectable in O(1), and unproductive interactions can optionally be
-//    skipped in bulk with an exact geometric jump (StepMode::kSkipUnproductive).
+//  * UsdSimulator — the tuned count-based core::Engine behind the "every"
+//    and "skip" registry engines. It samples the exact same Markov chain
+//    (one uniformly random ordered (responder, initiator) pair per
+//    interaction, self-pairs allowed) but exploits USD structure: only
+//    the responder ever changes, consensus is detectable in O(1), and
+//    unproductive interactions can optionally be skipped in bulk with an
+//    exact geometric jump (StepMode::kSkipUnproductive).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 
+#include "core/engine.hpp"
 #include "pp/configuration.hpp"
 #include "pp/protocol.hpp"
 #include "rng/rng.hpp"
@@ -49,58 +50,48 @@ enum class StepMode {
   /// kEveryInteraction (validated by property tests) but much faster in
   /// regimes where most interactions change nothing.
   kSkipUnproductive,
-  /// Advance whole chunks of Θ(n) interactions per O(k) multinomial draw
-  /// (chunked Poissonization / tau-leaping). A documented approximation of
-  /// the asynchronous chain, handled by BatchedUsdSimulator; run_usd
-  /// dispatches to it, UsdSimulator itself rejects this mode.
-  kBatchedRounds,
 };
 
-/// sim::Registry spelling of a StepMode ("every", "skip", "batched").
-[[nodiscard]] const char* engine_name(StepMode mode);
-
-struct UsdOptions {
-  StepMode mode = StepMode::kEveryInteraction;
-  urn::UrnEngine engine = urn::UrnEngine::kAuto;
-};
-
-class UsdSimulator {
+/// The "every" and "skip" engines: native time is interactions.
+class UsdSimulator final : public Engine {
  public:
   UsdSimulator(const pp::Configuration& initial, rng::Rng rng,
-               UsdOptions options = {});
+               StepMode mode = StepMode::kEveryInteraction);
 
   /// Execute one interaction (kEveryInteraction) or one productive
   /// interaction plus the unproductive run before it (kSkipUnproductive).
   void step();
 
-  /// Run until consensus or until `max_interactions` have elapsed.
-  /// Returns true iff consensus was reached.
-  bool run_to_consensus(std::uint64_t max_interactions);
-
-  /// Like run_to_consensus, but invokes `observer(t, opinions, undecided)`
-  /// before the first interaction and then every time the interaction count
-  /// crosses a multiple of `interval` (in kSkipUnproductive mode the call
-  /// happens at the first productive step past the boundary).
-  using Observer = std::function<void(
-      std::uint64_t t, std::span<const pp::Count> opinions,
-      pp::Count undecided)>;
-  bool run_observed(std::uint64_t max_interactions, std::uint64_t interval,
-                    const Observer& observer);
+  /// Steps until `budget` more interactions have elapsed or consensus; a
+  /// skip may overshoot the target by part of one geometric jump.
+  void advance(std::uint64_t budget) override;
 
   // ---- Inspection ----
   [[nodiscard]] std::uint64_t interactions() const { return interactions_; }
-  [[nodiscard]] pp::Count n() const { return n_; }
-  [[nodiscard]] int k() const { return static_cast<int>(opinions_.size()); }
+  [[nodiscard]] pp::Count n() const override { return n_; }
   [[nodiscard]] std::span<const pp::Count> opinions() const {
     return opinions_.counts();
+  }
+  [[nodiscard]] std::span<const pp::Count> counts() const override {
+    return opinions();
   }
   [[nodiscard]] pp::Count opinion(int i) const {
     return opinions_.count(static_cast<std::size_t>(i));
   }
-  [[nodiscard]] pp::Count undecided() const { return undecided_; }
-  [[nodiscard]] bool is_consensus() const { return winner_.has_value(); }
+  [[nodiscard]] pp::Count undecided() const override { return undecided_; }
+  [[nodiscard]] std::uint64_t elapsed() const override {
+    return interactions_;
+  }
+  [[nodiscard]] double parallel_time() const override {
+    return static_cast<double>(interactions_) / static_cast<double>(n_);
+  }
+  [[nodiscard]] bool is_consensus() const override {
+    return winner_.has_value();
+  }
   /// The consensus opinion; only valid when is_consensus().
-  [[nodiscard]] int consensus_opinion() const { return *winner_; }
+  [[nodiscard]] int consensus_opinion() const override { return *winner_; }
+  [[nodiscard]] std::uint64_t default_budget() const override;
+  [[nodiscard]] std::uint64_t default_observe_interval() const override;
   [[nodiscard]] pp::Configuration configuration() const;
 
  private:

@@ -1,5 +1,6 @@
 #include "gossip/gossip_usd.hpp"
 
+#include "core/engine.hpp"
 #include "pp/configuration.hpp"
 #include "rng/rng.hpp"
 #include "util/check.hpp"
@@ -41,9 +42,9 @@ void GossipUsd::round() {
   }
 }
 
-bool GossipUsd::run_to_consensus(std::uint64_t max_rounds) {
-  while (!winner_.has_value() && rounds_ < max_rounds) round();
-  return winner_.has_value();
+void GossipUsd::advance(std::uint64_t budget) {
+  const std::uint64_t target = core::saturating_add(rounds_, budget);
+  while (!is_consensus() && rounds_ < target) round();
 }
 
 }  // namespace kusd::gossip

@@ -14,31 +14,47 @@
 #include <span>
 #include <vector>
 
+#include "core/budget.hpp"
+#include "core/engine.hpp"
 #include "core/round_engine.hpp"
 #include "pp/configuration.hpp"
 #include "rng/rng.hpp"
 
 namespace kusd::gossip {
 
-class GossipUsd {
+/// The "gossip" engine: native time and parallel time are rounds.
+class GossipUsd final : public core::Engine {
  public:
   GossipUsd(const pp::Configuration& initial, rng::Rng rng);
 
   /// Execute one synchronous round.
   void round();
 
-  /// Returns true iff consensus was reached within `max_rounds`.
-  bool run_to_consensus(std::uint64_t max_rounds);
+  void advance(std::uint64_t budget) override;
 
   [[nodiscard]] std::uint64_t rounds() const { return rounds_; }
-  [[nodiscard]] pp::Count n() const { return n_; }
-  [[nodiscard]] int k() const { return static_cast<int>(opinions_.size()); }
+  [[nodiscard]] pp::Count n() const override { return n_; }
   [[nodiscard]] std::span<const pp::Count> opinions() const {
     return opinions_;
   }
-  [[nodiscard]] pp::Count undecided() const { return undecided_; }
-  [[nodiscard]] bool is_consensus() const { return winner_.has_value(); }
-  [[nodiscard]] int consensus_opinion() const { return *winner_; }
+  [[nodiscard]] std::span<const pp::Count> counts() const override {
+    return opinions_;
+  }
+  [[nodiscard]] pp::Count undecided() const override { return undecided_; }
+  [[nodiscard]] std::uint64_t elapsed() const override { return rounds_; }
+  [[nodiscard]] double parallel_time() const override {
+    return static_cast<double>(rounds_);
+  }
+  [[nodiscard]] bool is_consensus() const override {
+    return winner_.has_value();
+  }
+  [[nodiscard]] int consensus_opinion() const override { return *winner_; }
+  [[nodiscard]] std::uint64_t default_budget() const override {
+    return core::gossip_round_cap(n_, k());
+  }
+  [[nodiscard]] std::uint64_t default_observe_interval() const override {
+    return 1;
+  }
   [[nodiscard]] pp::Configuration configuration() const {
     return pp::Configuration(opinions_, undecided_);
   }

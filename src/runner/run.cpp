@@ -1,7 +1,6 @@
 #include "runner/run.hpp"
 
 #include <span>
-#include <string>
 
 #include "core/bias.hpp"
 #include "core/budget.hpp"
@@ -15,17 +14,11 @@ RunResult run_usd(const pp::Configuration& initial, std::uint64_t seed,
   RunResult result;
   result.initial_plurality = initial.argmax();
 
-  // All engine construction goes through the registry; the StepMode knob
-  // is only a legacy spelling of the engine name.
   sim::EngineOptions engine_options;
   engine_options.batch = options.batch;
-  engine_options.urn = options.urn;
   engine_options.graph = options.graph;
-  const std::string name = options.engine.empty()
-                               ? core::engine_name(options.mode)
-                               : options.engine;
-  const auto engine =
-      sim::Registry::instance().create(name, initial, seed, engine_options);
+  const auto engine = sim::Registry::instance().create(
+      options.engine, initial, seed, engine_options);
 
   const std::uint64_t cap = options.max_interactions != 0
                                 ? options.max_interactions

@@ -3,11 +3,12 @@
 // claims (did the initial plurality win? was the winner initially
 // significant?). This is the entry point the examples and most benches use.
 //
-// The engine is resolved through sim::Registry: pick it either with the
-// legacy StepMode knob (the asynchronous engines) or by registry name via
-// RunOptions::engine, which also opens the round models ("sync",
-// "gossip") and the graph-restricted scheduler ("graph", with
-// RunOptions::graph selecting the topology).
+// The engine is resolved through sim::Registry by the name in
+// RunOptions::engine ("skip" by default): the asynchronous chain engines,
+// the round models ("sync", "gossip") and the graph-restricted schedulers
+// ("graph", "graph-batched", with RunOptions::graph selecting the
+// topology). The run itself is core::Engine::run_observed (phase
+// tracking) or run_to_consensus.
 //
 // This driver lives in runner — above sim in the layering DAG — because
 // it resolves engines by name through the registry; core stays below sim
@@ -17,12 +18,10 @@
 #include <cstdint>
 #include <string>
 
-#include "core/batched_usd.hpp"
+#include "core/chunk_controller.hpp"
 #include "core/phase_tracker.hpp"
-#include "core/usd.hpp"
 #include "pp/configuration.hpp"
 #include "sim/graph_spec.hpp"
-#include "urn/urn.hpp"
 
 namespace kusd::runner {
 
@@ -32,17 +31,12 @@ struct RunOptions {
   /// the engine's generous default budget (for the asynchronous engines,
   /// 64 * k * n * (ln n + 1) — several times the paper's O(k n log n)).
   std::uint64_t max_interactions = 0;
-  /// Legacy engine selector, used when `engine` is empty.
-  core::StepMode mode = core::StepMode::kSkipUnproductive;
   /// sim::Registry name of the engine to run ("every", "skip", "batched",
-  /// "sync", "gossip", "graph", or anything registered); empty derives
-  /// the name from `mode`.
-  std::string engine;
-  /// Urn backend of the every/skip engines.
-  urn::UrnEngine urn = urn::UrnEngine::kAuto;
-  /// Chunk schedule for the batched engine: fixed chunk fraction or the
+  /// "sync", "gossip", "graph", or anything registered).
+  std::string engine = "skip";
+  /// Chunk schedule for the batched engines: fixed chunk fraction or the
   /// error-controlled adaptive policy (see chunk_controller.hpp).
-  core::BatchedOptions batch;
+  core::ChunkOptions batch;
   /// Topology for the graph engine.
   sim::GraphSpec graph;
   /// Track T1..T5; snapshots are taken every `observe_interval` native

@@ -3,9 +3,10 @@
 //
 // A Sweep expands a SweepSpec into the cartesian grid of its axes and runs
 // every grid point as a Monte-Carlo batch. Engines are sim::Registry
-// names, resolved per trial through the registry — the sweep has no
-// per-engine dispatch of its own, so a newly registered engine is
-// sweepable with no changes here. The `graphs` axis applies to engines
+// names, resolved per trial through the registry into a core::Engine
+// that runs through core::Engine::run_to_consensus — the sweep has no
+// per-engine dispatch or run loop of its own, so a newly registered
+// engine is sweepable with no changes here. The `graphs` axis applies to engines
 // that take a topology (EngineInfo::uses_graph_axis); for such engines
 // the topology is realized once per grid point from a deterministic
 // stream and shared read-only across the point's trials — as a
@@ -54,7 +55,7 @@
 // (spec, master_seed, grid index).
 //
 // The comparable metric across engines is *parallel time*
-// (sim::Engine::parallel_time): interactions/n for the asynchronous
+// (core::Engine::parallel_time): interactions/n for the asynchronous
 // engines (every/skip/batched/graph) and rounds for the synchronous ones
 // (sync counts re-adoption sub-rounds too).
 #pragma once
@@ -65,7 +66,7 @@
 #include <string>
 #include <vector>
 
-#include "core/batched_usd.hpp"
+#include "core/chunk_controller.hpp"
 #include "pp/configuration.hpp"
 #include "sim/graph_spec.hpp"
 #include "stats/summary.hpp"
@@ -124,7 +125,7 @@ struct SweepSpec {
   /// Worker threads (0 = hardware concurrency).
   std::size_t threads = 0;
   /// Chunk fraction for the batched engine (ChunkPolicy::kFixed).
-  double batch_chunk_fraction = core::BatchedOptions{}.chunk_fraction;
+  double batch_chunk_fraction = core::ChunkOptions{}.chunk_fraction;
   /// Chunk policy for the batched engine.
   core::ChunkPolicy batch_policy = core::ChunkPolicy::kFixed;
   /// Trials per (point, stripe) work unit — the work-stealing grain (see

@@ -120,7 +120,7 @@ void BatchedGraphEngine::refresh_totals() {
 }
 
 void BatchedGraphEngine::advance(std::uint64_t budget) {
-  const std::uint64_t target = saturating_add(interactions_, budget);
+  const std::uint64_t target = core::saturating_add(interactions_, budget);
   while (!winner_.has_value() && interactions_ < target) {
     step(target - interactions_);
   }

@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "core/chunk_controller.hpp"
+#include "core/engine.hpp"
 #include "core/round_engine.hpp"
 #include "pp/configuration.hpp"
 #include "pp/degree_classes.hpp"
@@ -54,7 +55,7 @@
 
 namespace kusd::sim {
 
-class BatchedGraphEngine final : public Engine {
+class BatchedGraphEngine final : public core::Engine {
  public:
   BatchedGraphEngine(const pp::Configuration& initial, std::uint64_t seed,
                      const EngineOptions& options);

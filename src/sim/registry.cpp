@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "core/engine.hpp"
 #include "pp/configuration.hpp"
 #include "sim/engines.hpp"
 #include "util/check.hpp"
@@ -49,7 +50,7 @@ std::string Registry::names_joined() const {
   return out;
 }
 
-std::unique_ptr<Engine> Registry::create(const std::string& name,
+std::unique_ptr<core::Engine> Registry::create(const std::string& name,
                                          const pp::Configuration& initial,
                                          std::uint64_t seed,
                                          const EngineOptions& options) const {

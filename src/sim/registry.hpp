@@ -4,11 +4,12 @@
 // sweep's `engine` CSV/JSONL column, and RunOptions::engine — to a factory
 // plus the metadata the drivers need to validate a request upfront
 // (population caps, start-profile constraints, which option groups the
-// engine reads). All engine construction in runner::run_usd, runner::Sweep
-// and kusd_cli goes through here; there is no per-engine switch anywhere
-// above the adapters.
+// engine reads). A factory returns the simulator itself, a core::Engine.
+// All engine construction in runner::run_usd, runner::Sweep and kusd_cli
+// goes through here; there is no per-engine switch anywhere above the
+// factories.
 //
-// Registering an engine:
+// Registering an engine (any core::Engine subclass):
 //
 //   sim::Registry::instance().add("my-engine", {
 //       .factory = [](const pp::Configuration& x0, std::uint64_t seed,
@@ -30,13 +31,14 @@
 #include <string>
 #include <vector>
 
+#include "core/engine.hpp"
 #include "pp/configuration.hpp"
 #include "sim/engine.hpp"
 
 namespace kusd::sim {
 
 struct EngineInfo {
-  std::function<std::unique_ptr<Engine>(
+  std::function<std::unique_ptr<core::Engine>(
       const pp::Configuration& initial, std::uint64_t seed,
       const EngineOptions& options)>
       factory;
@@ -88,7 +90,7 @@ class Registry {
 
   /// Construct an engine. Throws util::CheckError for unknown names (and
   /// whatever the engine's own validation throws).
-  [[nodiscard]] std::unique_ptr<Engine> create(
+  [[nodiscard]] std::unique_ptr<core::Engine> create(
       const std::string& name, const pp::Configuration& initial,
       std::uint64_t seed, const EngineOptions& options = {}) const;
 

@@ -4,11 +4,8 @@
 #include "rng/rng.hpp"
 namespace kusd::urn {
 
-Urn::Urn(std::span<const std::uint64_t> counts, UrnEngine engine) {
-  const bool use_fenwick =
-      engine == UrnEngine::kFenwick ||
-      (engine == UrnEngine::kAuto && counts.size() > kLinearThreshold);
-  if (use_fenwick) {
+Urn::Urn(std::span<const std::uint64_t> counts) {
+  if (counts.size() > kLinearThreshold) {
     fenwick_.emplace(counts);
   } else {
     linear_.emplace(counts);

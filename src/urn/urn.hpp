@@ -8,8 +8,8 @@
 //  * LinearUrn  — O(k) scan per sample; fastest for small k (cache-friendly).
 //  * FenwickUrn — O(log k) per sample and per update; wins for large k.
 //
-// Urn (the default) picks the engine at construction based on a size
-// threshold chosen from the ablation in bench_throughput.
+// Urn picks the engine at construction based on a size threshold chosen
+// from the ablation in bench_throughput.
 #pragma once
 
 #include <cstdint>
@@ -103,21 +103,15 @@ class FenwickUrn {
   Fenwick tree_;
 };
 
-/// Engine selection for Urn.
-enum class UrnEngine {
-  kAuto,     ///< linear below kLinearThreshold categories, Fenwick above
-  kLinear,   ///< force LinearUrn
-  kFenwick,  ///< force FenwickUrn
-};
-
-/// Default engine crossover (categories). Chosen from bench_throughput.
+/// Engine crossover (categories): LinearUrn up to this many, FenwickUrn
+/// above. Chosen from bench_throughput (BM_UrnEngine).
 inline constexpr std::size_t kLinearThreshold = 64;
 
-/// Polymorphic-by-value urn: picks LinearUrn or FenwickUrn at construction.
+/// Polymorphic-by-value urn: picks LinearUrn or FenwickUrn at construction
+/// by kLinearThreshold.
 class Urn {
  public:
-  explicit Urn(std::span<const std::uint64_t> counts,
-               UrnEngine engine = UrnEngine::kAuto);
+  explicit Urn(std::span<const std::uint64_t> counts);
 
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::uint64_t total() const;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/batched_usd.hpp"
@@ -17,10 +18,9 @@
 namespace kusd {
 namespace {
 
-using core::BatchedOptions;
+using core::ChunkOptions;
 using core::BatchedUsdSimulator;
 using core::StepMode;
-using core::UsdOptions;
 using core::UsdSimulator;
 using pp::Configuration;
 
@@ -97,16 +97,10 @@ TEST(BatchedUsd, RejectsAllUndecidedAndBadChunk) {
   EXPECT_THROW(BatchedUsdSimulator(Configuration({0, 0}, 10), rng::Rng(10)),
                util::CheckError);
   EXPECT_THROW(BatchedUsdSimulator(Configuration::uniform(100, 2, 0),
-                                   rng::Rng(11), BatchedOptions{.chunk_fraction = 0.0}),
+                                   rng::Rng(11), ChunkOptions{.chunk_fraction = 0.0}),
                util::CheckError);
   EXPECT_THROW(BatchedUsdSimulator(Configuration::uniform(100, 2, 0),
-                                   rng::Rng(11), BatchedOptions{.chunk_fraction = 1.5}),
-               util::CheckError);
-}
-
-TEST(BatchedUsd, UsdSimulatorRejectsBatchedMode) {
-  EXPECT_THROW(UsdSimulator(Configuration::uniform(100, 2, 0), rng::Rng(12),
-                            UsdOptions{StepMode::kBatchedRounds}),
+                                   rng::Rng(11), ChunkOptions{.chunk_fraction = 1.5}),
                util::CheckError);
 }
 
@@ -129,7 +123,7 @@ TEST(BatchedUsd, TinyPopulationsTerminate) {
   // the exact m = 1 case, which always converges.
   for (std::uint64_t seed = 0; seed < 50; ++seed) {
     BatchedUsdSimulator sim(Configuration({1, 1}, 0), rng::Rng(seed),
-                            BatchedOptions{.chunk_fraction = 1.0});
+                            ChunkOptions{.chunk_fraction = 1.0});
     ASSERT_TRUE(sim.run_to_consensus(~std::uint64_t{0}));
     EXPECT_EQ(sim.undecided(), 0u);
   }
@@ -155,7 +149,7 @@ TEST(BatchedUsd, RunObservedFiresExactlyAtIntervalMultiples) {
   // is hit exactly, under both chunk policies.
   for (const auto policy :
        {core::ChunkPolicy::kFixed, core::ChunkPolicy::kAdaptive}) {
-    BatchedOptions options;
+    ChunkOptions options;
     options.policy = policy;
     BatchedUsdSimulator sim(Configuration::uniform(20000, 3, 0),
                             rng::Rng(15), options);
@@ -184,9 +178,36 @@ TEST(BatchedUsd, RunObservedNeverOvershootsTheCap) {
   EXPECT_LE(sim.interactions(), cap);
 }
 
+// The driver loops are core::Engine's, so a directly constructed simulator
+// stops at a saturated cap exactly as the registry engine does: where
+// n * T passes 2^64 the clock neither wraps nor runs backwards.
+TEST(BatchedUsd, DirectRunsStopAtTheSaturatedCap) {
+  const pp::Count n = 200'000'000'000'000'000;
+  const std::uint64_t cap = ~std::uint64_t{0};
+  const auto x0 = Configuration::uniform(n, 2, 0);
+
+  BatchedUsdSimulator direct(x0, rng::Rng(1));
+  EXPECT_FALSE(direct.run_to_consensus(cap));
+  EXPECT_EQ(direct.interactions(), cap);
+
+  BatchedUsdSimulator observed(x0, rng::Rng(1));
+  std::vector<std::uint64_t> times;
+  EXPECT_FALSE(observed.run_observed(
+      cap, n / 8,
+      [&times](std::uint64_t t, std::span<const pp::Count>, pp::Count) {
+        times.push_back(t);
+      }));
+  EXPECT_EQ(observed.interactions(), cap);
+  ASSERT_FALSE(times.empty());
+  EXPECT_EQ(times.back(), cap);
+  for (std::size_t i = 1; i < times.size(); ++i) {
+    ASSERT_GE(times[i], times[i - 1]) << "observation " << i;
+  }
+}
+
 TEST(BatchedUsd, RunUsdDispatchesBatchedMode) {
   runner::RunOptions opts;
-  opts.mode = StepMode::kBatchedRounds;
+  opts.engine = "batched";
   const auto result =
       runner::run_usd(Configuration::uniform(20000, 4, 0), 77, opts);
   EXPECT_TRUE(result.converged);
@@ -204,7 +225,7 @@ std::vector<double> exact_times(const Configuration& x0, int trials,
     UsdSimulator sim(
         x0, rng::Rng(rng::stream_seed(seed_base,
                                         static_cast<std::uint64_t>(t))),
-        UsdOptions{StepMode::kEveryInteraction});
+        StepMode::kEveryInteraction);
     EXPECT_TRUE(sim.run_to_consensus(100'000'000));
     out.push_back(static_cast<double>(sim.interactions()));
   }
@@ -220,7 +241,7 @@ std::vector<double> batched_times(const Configuration& x0, int trials,
     BatchedUsdSimulator sim(
         x0, rng::Rng(rng::stream_seed(seed_base,
                                         static_cast<std::uint64_t>(t))),
-        BatchedOptions{.chunk_fraction = chunk_fraction});
+        ChunkOptions{.chunk_fraction = chunk_fraction});
     EXPECT_TRUE(sim.run_to_consensus(100'000'000));
     out.push_back(static_cast<double>(sim.interactions()));
   }
@@ -245,7 +266,7 @@ TEST(BatchedUsd, DefaultChunkMatchesExactChainInDistribution) {
   const int trials = 350;
   const auto exact = exact_times(x0, trials, 2200);
   const auto batched =
-      batched_times(x0, trials, 2201, BatchedOptions{}.chunk_fraction);
+      batched_times(x0, trials, 2201, ChunkOptions{}.chunk_fraction);
   EXPECT_LT(stats::ks_statistic(exact, batched),
             stats::ks_threshold(exact.size(), batched.size(), 0.001));
 }
@@ -256,7 +277,7 @@ TEST(BatchedUsd, WinnerFrequenciesMatchExactChain) {
   int wins_exact = 0, wins_batched = 0;
   for (int t = 0; t < trials; ++t) {
     UsdSimulator a(x0, rng::Rng(rng::stream_seed(2300, t)),
-                   UsdOptions{StepMode::kSkipUnproductive});
+                   StepMode::kSkipUnproductive);
     ASSERT_TRUE(a.run_to_consensus(100'000'000));
     wins_exact += a.consensus_opinion() == 0 ? 1 : 0;
     BatchedUsdSimulator b(x0, rng::Rng(rng::stream_seed(2301, t)));

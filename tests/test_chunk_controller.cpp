@@ -18,13 +18,11 @@ namespace kusd {
 namespace {
 
 using core::AdaptiveChunkOptions;
-using core::BatchedOptions;
 using core::BatchedUsdSimulator;
 using core::ChunkController;
 using core::ChunkOptions;
 using core::ChunkPolicy;
 using core::StepMode;
-using core::UsdOptions;
 using core::UsdSimulator;
 using pp::Configuration;
 
@@ -276,7 +274,7 @@ std::vector<double> exact_times(const Configuration& x0, int trials,
     UsdSimulator sim(
         x0, rng::Rng(rng::stream_seed(seed_base,
                                       static_cast<std::uint64_t>(t))),
-        UsdOptions{StepMode::kEveryInteraction});
+        StepMode::kEveryInteraction);
     EXPECT_TRUE(sim.run_to_consensus(100'000'000));
     out.push_back(static_cast<double>(sim.interactions()));
   }
@@ -326,7 +324,7 @@ TEST(AdaptiveBatched, WinnerFrequenciesMatchExactChain) {
   int wins_exact = 0, wins_adaptive = 0;
   for (int t = 0; t < trials; ++t) {
     UsdSimulator a(x0, rng::Rng(rng::stream_seed(3300, t)),
-                   UsdOptions{StepMode::kSkipUnproductive});
+                   StepMode::kSkipUnproductive);
     ASSERT_TRUE(a.run_to_consensus(100'000'000));
     wins_exact += a.consensus_opinion() == 0 ? 1 : 0;
     BatchedUsdSimulator b(x0, rng::Rng(rng::stream_seed(3301, t)),

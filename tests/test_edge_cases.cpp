@@ -16,7 +16,6 @@ namespace kusd {
 namespace {
 
 using core::StepMode;
-using core::UsdOptions;
 using core::UsdSimulator;
 using pp::Configuration;
 
@@ -31,7 +30,7 @@ TEST(EdgeCases, TwoAgentsConverge) {
 TEST(EdgeCases, TwoAgentsSkipModeConverges) {
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     UsdSimulator sim(Configuration({1, 1}, 0), rng::Rng(seed),
-                     UsdOptions{StepMode::kSkipUnproductive});
+                     StepMode::kSkipUnproductive);
     ASSERT_TRUE(sim.run_to_consensus(1'000'000));
   }
 }
@@ -63,8 +62,7 @@ TEST(EdgeCases, OneDecidedAgentAmongUndecided) {
   // shape (pure adoption).
   for (auto mode : {StepMode::kEveryInteraction,
                     StepMode::kSkipUnproductive}) {
-    UsdSimulator sim(Configuration({1, 0}, 999), rng::Rng(5),
-                     UsdOptions{mode});
+    UsdSimulator sim(Configuration({1, 0}, 999), rng::Rng(5), mode);
     ASSERT_TRUE(sim.run_to_consensus(100'000'000));
     EXPECT_EQ(sim.consensus_opinion(), 0);
   }
@@ -77,7 +75,7 @@ TEST(EdgeCases, ExtremeSkewSkipModeHandlesLowAcceptance) {
   int wins = 0;
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     UsdSimulator sim(Configuration({9999, 1}, 0), rng::Rng(seed),
-                     UsdOptions{StepMode::kSkipUnproductive});
+                     StepMode::kSkipUnproductive);
     ASSERT_TRUE(sim.run_to_consensus(1'000'000'000));
     wins += sim.consensus_opinion() == 0 ? 1 : 0;
   }
@@ -94,7 +92,7 @@ TEST_P(LowerBoundSweep, InteractionsAtLeastAgentsThatMustMove) {
   const auto x0 = Configuration::uniform(500, 4, 100);
   for (auto mode : {StepMode::kEveryInteraction,
                     StepMode::kSkipUnproductive}) {
-    UsdSimulator sim(x0, rng::Rng(seed), UsdOptions{mode});
+    UsdSimulator sim(x0, rng::Rng(seed), mode);
     ASSERT_TRUE(sim.run_to_consensus(100'000'000));
     const auto initial_support =
         x0.opinion(sim.consensus_opinion());

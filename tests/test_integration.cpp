@@ -8,6 +8,7 @@
 
 #include "core/bias.hpp"
 #include "core/budget.hpp"
+#include "core/usd.hpp"
 #include "runner/run.hpp"
 #include "pp/configuration.hpp"
 #include "runner/trials.hpp"

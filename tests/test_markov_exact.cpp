@@ -82,7 +82,7 @@ TEST_P(ExactVsMonteCarlo, ExpectedTimeAndWinProbMatch) {
   for (int t = 0; t < trials; ++t) {
     core::UsdSimulator sim(
         start, rng::Rng(rng::stream_seed(4242, t)),
-        core::UsdOptions{core::StepMode::kSkipUnproductive});
+        core::StepMode::kSkipUnproductive);
     ASSERT_TRUE(sim.run_to_consensus(100'000'000));
     times.add(static_cast<double>(sim.interactions()));
     wins += sim.consensus_opinion() == 0 ? 1 : 0;

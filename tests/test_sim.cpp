@@ -1,6 +1,6 @@
-// The sim layer: the Engine interface, the string-keyed Registry, the
-// GraphSpec topology axis, and the property that the adapters preserve
-// the dynamics of the simulators they wrap.
+// The sim layer: the core::Engine interface, the string-keyed Registry,
+// the GraphSpec topology axis, and the property that a registry-created
+// engine runs the same trajectory as the directly constructed simulator.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -149,12 +149,12 @@ TEST(Registry, CustomEnginesAreCreatable) {
   EXPECT_TRUE(engine->run_to_consensus(engine->default_budget()));
 }
 
-// ---- Adapters preserve the wrapped simulators' dynamics ----
+// ---- Registry engines replay the directly constructed simulators ----
 
 TEST(EngineAdapters, SkipMatchesUsdSimulatorByteForByte) {
   const auto x0 = Configuration::uniform(1000, 3, 50);
   core::UsdSimulator direct(x0, rng::Rng(11),
-                            core::UsdOptions{core::StepMode::kSkipUnproductive});
+                            core::StepMode::kSkipUnproductive);
   ASSERT_TRUE(direct.run_to_consensus(100'000'000));
   const auto engine = sim::Registry::instance().create("skip", x0, 11);
   ASSERT_TRUE(engine->run_to_consensus(100'000'000));
@@ -164,7 +164,7 @@ TEST(EngineAdapters, SkipMatchesUsdSimulatorByteForByte) {
 
 TEST(EngineAdapters, BatchedMatchesBatchedSimulatorByteForByte) {
   const auto x0 = Configuration::uniform(20000, 4, 0);
-  core::BatchedUsdSimulator direct(x0, rng::Rng(13), core::BatchedOptions{});
+  core::BatchedUsdSimulator direct(x0, rng::Rng(13), core::ChunkOptions{});
   ASSERT_TRUE(direct.run_to_consensus(~std::uint64_t{0}));
   const auto engine = sim::Registry::instance().create("batched", x0, 13);
   ASSERT_TRUE(engine->run_to_consensus(~std::uint64_t{0}));
@@ -391,16 +391,17 @@ TEST(RunUsd, GraphEngineRunsWithTopology) {
   EXPECT_GT(result.parallel_time, 0.0);
 }
 
+// The three engines the removed RunOptions::mode selector used to spell
+// resolve by name, and "skip" is the default.
 TEST(RunUsd, LegacyStepModeStillResolvesThroughTheRegistry) {
   const auto x0 = Configuration::uniform(400, 3, 0);
-  for (const auto mode :
-       {core::StepMode::kEveryInteraction, core::StepMode::kSkipUnproductive,
-        core::StepMode::kBatchedRounds}) {
+  EXPECT_EQ(runner::RunOptions{}.engine, "skip");
+  for (const char* name : {"every", "skip", "batched"}) {
     runner::RunOptions options;
-    options.mode = mode;
+    options.engine = name;
     options.track_phases = false;
     const auto result = runner::run_usd(x0, 9, options);
-    EXPECT_TRUE(result.converged) << core::engine_name(mode);
+    EXPECT_TRUE(result.converged) << name;
   }
 }
 

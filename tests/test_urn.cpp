@@ -11,20 +11,32 @@ namespace kusd {
 namespace {
 
 TEST(Urn, EngineSelection) {
-  std::vector<std::uint64_t> small(8, 1);
+  std::vector<std::uint64_t> small(urn::kLinearThreshold, 1);
   std::vector<std::uint64_t> large(urn::kLinearThreshold + 1, 1);
   EXPECT_FALSE(urn::Urn(small).uses_fenwick());
   EXPECT_TRUE(urn::Urn(large).uses_fenwick());
-  EXPECT_TRUE(urn::Urn(small, urn::UrnEngine::kFenwick).uses_fenwick());
-  EXPECT_FALSE(urn::Urn(large, urn::UrnEngine::kLinear).uses_fenwick());
 }
 
+// Identical find() after the same adds means the two engines drive
+// identical trajectories: every engine that samples through an urn maps
+// one uniform position to a category with find().
 TEST(Urn, FindIdenticalAcrossEngines) {
   const std::vector<std::uint64_t> counts{4, 0, 7, 1, 0, 9, 3};
-  urn::Urn lin(counts, urn::UrnEngine::kLinear);
-  urn::Urn fen(counts, urn::UrnEngine::kFenwick);
-  for (std::uint64_t r = 0; r < lin.total(); ++r) {
-    ASSERT_EQ(lin.find(r), fen.find(r)) << "position " << r;
+  urn::LinearUrn lin(counts);
+  urn::FenwickUrn fen(counts);
+  rng::Rng r(29);
+  for (int round = 0; round < 200; ++round) {
+    ASSERT_EQ(lin.total(), fen.total());
+    for (std::uint64_t pos = 0; pos < lin.total(); ++pos) {
+      ASSERT_EQ(lin.find(pos), fen.find(pos))
+          << "round " << round << ", position " << pos;
+    }
+    // A random +1/-1 update on a random category; -1 only where the count
+    // is positive, so categories empty and refill along the way.
+    const auto i = static_cast<std::size_t>(r.bounded(counts.size()));
+    const std::int64_t delta = lin.count(i) > 0 && r.bounded(2) == 0 ? -1 : 1;
+    lin.add(i, delta);
+    fen.add(i, delta);
   }
 }
 
@@ -47,11 +59,15 @@ TEST(Urn, CountsViewReflectsMutations) {
   EXPECT_EQ(u.counts()[1], 2u);
 }
 
-class UrnEngineSweep : public ::testing::TestWithParam<urn::UrnEngine> {};
+template <typename UrnT>
+class UrnEngineSweep : public ::testing::Test {};
 
-TEST_P(UrnEngineSweep, SampleFrequenciesMatchProportions) {
+using UrnTypes = ::testing::Types<urn::LinearUrn, urn::FenwickUrn>;
+TYPED_TEST_SUITE(UrnEngineSweep, UrnTypes);
+
+TYPED_TEST(UrnEngineSweep, SampleFrequenciesMatchProportions) {
   const std::vector<std::uint64_t> counts{100, 300, 0, 600};
-  urn::Urn u(counts, GetParam());
+  TypeParam u(counts);
   rng::Rng r(71);
   std::vector<int> hits(4, 0);
   const int n = 100000;
@@ -62,9 +78,9 @@ TEST_P(UrnEngineSweep, SampleFrequenciesMatchProportions) {
   EXPECT_NEAR(hits[3], n * 0.6, 700);
 }
 
-TEST_P(UrnEngineSweep, SamplingAfterUpdatesUsesNewWeights) {
+TYPED_TEST(UrnEngineSweep, SamplingAfterUpdatesUsesNewWeights) {
   std::vector<std::uint64_t> counts{1, 0};
-  urn::Urn u(counts, GetParam());
+  TypeParam u(counts);
   u.add(1, 99);
   u.add(0, -1);
   rng::Rng r(73);
@@ -72,10 +88,6 @@ TEST_P(UrnEngineSweep, SamplingAfterUpdatesUsesNewWeights) {
     ASSERT_EQ(u.sample(r), 1u);
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Engines, UrnEngineSweep,
-                         ::testing::Values(urn::UrnEngine::kLinear,
-                                           urn::UrnEngine::kFenwick));
 
 }  // namespace
 }  // namespace kusd

@@ -17,7 +17,6 @@ namespace kusd {
 namespace {
 
 using core::StepMode;
-using core::UsdOptions;
 using core::UsdSimulator;
 using pp::Configuration;
 
@@ -37,7 +36,7 @@ TEST(UsdSimulator, ConservesPopulationEveryStep) {
 
 TEST(UsdSimulator, InteractionsIncreaseMonotonically) {
   UsdSimulator sim(Configuration::uniform(100, 3, 0), rng::Rng(2),
-                   UsdOptions{StepMode::kSkipUnproductive});
+                   StepMode::kSkipUnproductive);
   std::uint64_t prev = 0;
   for (int i = 0; i < 500 && !sim.is_consensus(); ++i) {
     sim.step();
@@ -106,7 +105,7 @@ TEST(UsdSimulator, OverwhelmingBiasWins) {
   // x0 = 90% of agents: opinion 0 must win in every trial.
   for (std::uint64_t seed = 0; seed < 25; ++seed) {
     UsdSimulator sim(Configuration({900, 50, 50}, 0), rng::Rng(seed),
-                     UsdOptions{StepMode::kSkipUnproductive});
+                     StepMode::kSkipUnproductive);
     ASSERT_TRUE(sim.run_to_consensus(100'000'000));
     EXPECT_EQ(sim.consensus_opinion(), 0) << "seed " << seed;
   }
@@ -144,7 +143,7 @@ std::vector<double> consensus_times(const Configuration& x0, StepMode mode,
     UsdSimulator sim(
         x0, rng::Rng(rng::stream_seed(seed_base,
                                         static_cast<std::uint64_t>(t))),
-        UsdOptions{mode});
+        mode);
     EXPECT_TRUE(sim.run_to_consensus(50'000'000));
     out.push_back(static_cast<double>(sim.interactions()));
   }
@@ -190,11 +189,11 @@ TEST(UsdSimulator, SkipAndPlainWinnerFrequenciesAgree) {
   int wins_plain = 0, wins_skip = 0;
   for (int t = 0; t < trials; ++t) {
     UsdSimulator a(x0, rng::Rng(rng::stream_seed(77, t)),
-                   UsdOptions{StepMode::kEveryInteraction});
+                   StepMode::kEveryInteraction);
     a.run_to_consensus(10'000'000);
     wins_plain += a.consensus_opinion() == 0 ? 1 : 0;
     UsdSimulator b(x0, rng::Rng(rng::stream_seed(78, t)),
-                   UsdOptions{StepMode::kSkipUnproductive});
+                   StepMode::kSkipUnproductive);
     b.run_to_consensus(10'000'000);
     wins_skip += b.consensus_opinion() == 0 ? 1 : 0;
   }
@@ -204,27 +203,6 @@ TEST(UsdSimulator, SkipAndPlainWinnerFrequenciesAgree) {
   EXPECT_NEAR(f_plain, f_skip, 0.045);  // ~4 sigma of the difference
   EXPECT_NEAR(f_plain, 0.5, 0.04);
   EXPECT_NEAR(f_skip, 0.5, 0.04);
-}
-
-// Fenwick vs linear urn engines must also agree (second ablation axis).
-TEST(UsdSimulator, UrnEnginesAgreeInDistribution) {
-  const auto x0 = Configuration::uniform(80, 3, 0);
-  const int trials = 350;
-  std::vector<double> lin, fen;
-  for (int t = 0; t < trials; ++t) {
-    UsdSimulator a(x0, rng::Rng(rng::stream_seed(500, t)),
-                   UsdOptions{StepMode::kEveryInteraction,
-                              urn::UrnEngine::kLinear});
-    a.run_to_consensus(50'000'000);
-    lin.push_back(static_cast<double>(a.interactions()));
-    UsdSimulator b(x0, rng::Rng(rng::stream_seed(501, t)),
-                   UsdOptions{StepMode::kEveryInteraction,
-                              urn::UrnEngine::kFenwick});
-    b.run_to_consensus(50'000'000);
-    fen.push_back(static_cast<double>(b.interactions()));
-  }
-  EXPECT_LT(stats::ks_statistic(lin, fen),
-            stats::ks_threshold(lin.size(), fen.size(), 0.001));
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 //        --out sweep.csv
 //   kusd trace --n 100000 --k 8 --out trace.csv
 //   kusd exact --n 12 --k 3 --support 6,4,2
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <csignal>
@@ -39,7 +40,6 @@
 #include <vector>
 
 #include "analysis/usd_exact.hpp"
-#include "core/budget.hpp"
 #include "runner/run.hpp"
 #include "pp/configuration.hpp"
 #include "pp/trajectory.hpp"
@@ -245,8 +245,28 @@ int get_k(const Args& args, std::uint64_t fallback) {
   return static_cast<int>(k);
 }
 
-pp::Configuration build_config(const Args& args) {
+// The registry entry of --engine NAME, or a usage error.
+const sim::EngineInfo& engine_or_usage(const std::string& name) {
+  const sim::EngineInfo* info = sim::Registry::instance().find(name);
+  if (info == nullptr) {
+    std::fprintf(stderr, "unknown engine '%s'\n", name.c_str());
+    usage();
+  }
+  return *info;
+}
+
+// The start configuration of `run`/`trace`, validated against the engine
+// that will run it: every input the Configuration factories or the engine
+// constructor would reject is a usage error naming its flag here.
+pp::Configuration build_config(const Args& args, const std::string& engine) {
+  const sim::EngineInfo& info = engine_or_usage(engine);
   const pp::Count n = args.get_count("n", 100000);
+  if (info.max_n != 0 && n > info.max_n) {
+    std::fprintf(stderr, "--n %llu exceeds the %s engine's limit of %llu\n",
+                 static_cast<unsigned long long>(n), engine.c_str(),
+                 static_cast<unsigned long long>(info.max_n));
+    usage();
+  }
   const int k = get_k(args, 8);
   const pp::Count u = args.get_u64("undecided", 0);
   if (u > n) {
@@ -255,6 +275,19 @@ pp::Configuration build_config(const Args& args) {
                  static_cast<unsigned long long>(n));
     usage();
   }
+  if (u == n) {
+    std::fprintf(stderr,
+                 "--undecided %llu leaves no decided agent; an all-undecided "
+                 "population never converges\n",
+                 static_cast<unsigned long long>(u));
+    usage();
+  }
+  if (u != 0 && info.requires_decided_start) {
+    std::fprintf(stderr, "the %s engine requires --undecided 0\n",
+                 engine.c_str());
+    usage();
+  }
+  const pp::Count decided = n - u;
   const std::string bias = args.get_string("bias", "none");
   if (bias == "none") return pp::Configuration::uniform(n, k, u);
   if (bias != "additive" && bias != "multiplicative") usage();
@@ -265,9 +298,28 @@ pp::Configuration build_config(const Args& args) {
   }
   if (bias == "additive") {
     const pp::Count beta = args.get_u64("beta", n / 100);
+    if (beta > decided) {
+      std::fprintf(stderr, "--beta %llu exceeds the %llu decided agents\n",
+                   static_cast<unsigned long long>(beta),
+                   static_cast<unsigned long long>(decided));
+      usage();
+    }
     return pp::Configuration::with_additive_bias(n, k, u, beta);
   }
   const double alpha = args.get_double("alpha", 2.0);
+  if (!(alpha > 1.0)) {
+    std::fprintf(stderr, "--alpha must exceed 1\n");
+    usage();
+  }
+  // Every minority opinion needs at least one agent:
+  // floor(decided / (alpha + k - 1)) >= 1.
+  if (static_cast<double>(decided) < alpha + static_cast<double>(k - 1)) {
+    std::fprintf(stderr,
+                 "--alpha %g over --k %d needs at least alpha + k - 1 "
+                 "decided agents (have %llu)\n",
+                 alpha, k, static_cast<unsigned long long>(decided));
+    usage();
+  }
   return pp::Configuration::with_multiplicative_bias(n, k, u, alpha);
 }
 
@@ -276,22 +328,14 @@ int cmd_run(const Args& args) {
       "n", "k", "undecided", "seed", "bias", "beta", "alpha", "engine",
       "graph"};
   reject_unknown_options(args, known);
-  const auto x0 = build_config(args);
   runner::RunOptions opts;
-  opts.engine = args.get_string("engine", "");
-  if (!opts.engine.empty() &&
-      !sim::Registry::instance().contains(opts.engine)) {
-    std::fprintf(stderr, "unknown engine '%s'\n", opts.engine.c_str());
-    usage();
-  }
+  opts.engine = args.get_string("engine", opts.engine);
+  const auto x0 = build_config(args, opts.engine);
   const std::string graph_name = args.get_string("graph", "");
   if (!graph_name.empty()) {
     // Same contract as sweep: a --graph that no chosen engine reads is a
     // mistaken experiment, not a default to ignore silently.
-    const auto* info = opts.engine.empty()
-                           ? nullptr
-                           : sim::Registry::instance().find(opts.engine);
-    if (info == nullptr || !info->uses_graph_axis) {
+    if (!engine_or_usage(opts.engine).uses_graph_axis) {
       std::fprintf(stderr, "--graph requires a topology-taking engine (%s)\n",
                    graph_engine_names().c_str());
       usage();
@@ -662,22 +706,23 @@ int cmd_trace(const Args& args) {
   static const std::set<std::string> known = {
       "n", "k", "undecided", "seed", "bias", "beta", "alpha", "out"};
   reject_unknown_options(args, known);
-  const auto x0 = build_config(args);
+  const std::string trace_engine = "skip";
+  const auto x0 = build_config(args, trace_engine);
   const std::string out = args.get_string("out", "kusd_trace.csv");
-  core::UsdSimulator sim(x0, rng::Rng(args.get_u64("seed", 1)),
-                         core::UsdOptions{core::StepMode::kSkipUnproductive});
+  const auto engine = sim::Registry::instance().create(
+      trace_engine, x0, args.get_u64("seed", 1));
   pp::Trajectory trajectory;
-  sim.run_observed(core::default_interaction_cap(x0.n(), x0.k()),
-                   std::max<pp::Count>(1, x0.n() / 64),
-                   [&trajectory](std::uint64_t t,
-                                 std::span<const pp::Count> opinions,
-                                 pp::Count u) {
-                     trajectory.record(t, opinions, u);
-                   });
+  engine->run_observed(engine->default_budget(),
+                       std::max<pp::Count>(1, x0.n() / 64),
+                       [&trajectory](std::uint64_t t,
+                                     std::span<const pp::Count> opinions,
+                                     pp::Count u) {
+                         trajectory.record(t, opinions, u);
+                       });
   runner::write_trajectory_csv(trajectory, out);
   std::printf("wrote %zu snapshots to %s (consensus: %s)\n",
               trajectory.size(), out.c_str(),
-              sim.is_consensus() ? "yes" : "no");
+              engine->is_consensus() ? "yes" : "no");
   return 0;
 }
 
@@ -686,6 +731,19 @@ int cmd_exact(const Args& args) {
   reject_unknown_options(args, known);
   const pp::Count n = args.get_count("n", 12);
   const int k = get_k(args, 2);
+  if (n < 2) {
+    std::fprintf(stderr, "exact needs --n of at least 2\n");
+    usage();
+  }
+  if (analysis::UsdExactSolver::state_count(n, k) >
+      analysis::UsdExactSolver::kMaxStates) {
+    std::fprintf(stderr,
+                 "--n %llu --k %d exceeds the exact solver's limit of %.0f "
+                 "states\n",
+                 static_cast<unsigned long long>(n), k,
+                 analysis::UsdExactSolver::kMaxStates);
+    usage();
+  }
   std::vector<pp::Count> support;
   const std::string spec = args.get_string("support", "");
   if (spec.empty()) {
@@ -699,6 +757,18 @@ int cmd_exact(const Args& args) {
       std::fprintf(stderr, "--support must list exactly k values\n");
       return 2;
     }
+  }
+  // The decided agents must number 1..n (the undecided count is implied).
+  pp::Count decided = 0;
+  bool fits = true;
+  for (const pp::Count x : support) {
+    fits = fits && x <= n - decided;
+    if (fits) decided += x;
+  }
+  if (!fits || decided == 0) {
+    std::fprintf(stderr, "--support %s must sum to between 1 and --n %llu\n",
+                 spec.c_str(), static_cast<unsigned long long>(n));
+    usage();
   }
   analysis::UsdExactSolver solver(n, k);
   std::printf("exact analysis: n=%llu k=%d (%zu states)\n",
