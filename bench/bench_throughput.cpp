@@ -1,6 +1,7 @@
 // E10 — engineering ablation (google-benchmark): throughput of the
 // simulation engines and the design choices DESIGN.md calls out:
-//   * plain vs skip-unproductive stepping,
+//   * plain vs skip-unproductive stepping, one step() at a time and
+//     through advance()'s event loop,
 //   * linear vs Fenwick urn,
 //   * count-based vs agent-based scheduling,
 //   * gossip-model round cost.
@@ -75,6 +76,48 @@ void BM_UsdSkipStep(benchmark::State& state) {
   state.SetItemsProcessed(stepper.interactions());
 }
 BENCHMARK(BM_UsdSkipStep)->Arg(2)->Arg(16)->Arg(128)->Arg(1024);
+
+// advance() over a fixed budget of 2n interactions from the same start and
+// seed each iteration: the loop run_to_consensus/run_observed drive, as
+// opposed to the one-event step() above. per_event divides the time by
+// the productive events in that budget (each moves the undecided count by
+// one), counted once up front by replaying the same seed through step().
+void advance_bench(benchmark::State& state, core::StepMode mode) {
+  const auto k = static_cast<int>(state.range(0));
+  const auto x0 = pp::Configuration::uniform(100000, k, 25000);
+  const std::uint64_t budget = 2 * x0.n();
+  std::uint64_t events = 0;
+  core::UsdSimulator replay(x0, rng::Rng(1), mode);
+  while (!replay.is_consensus() && replay.interactions() < budget) {
+    const pp::Count before = replay.undecided();
+    replay.step();
+    if (replay.undecided() != before) ++events;
+  }
+  std::uint64_t interactions = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    core::UsdSimulator sim(x0, rng::Rng(1), mode);
+    state.ResumeTiming();
+    sim.advance(budget);
+    benchmark::DoNotOptimize(sim.undecided());
+    interactions += sim.interactions();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(interactions));
+  // An inverted rate: seconds per event, printed with an SI prefix (ns).
+  state.counters["per_event"] = benchmark::Counter(
+      static_cast<double>(events) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+void BM_UsdPlainAdvance(benchmark::State& state) {
+  advance_bench(state, core::StepMode::kEveryInteraction);
+}
+BENCHMARK(BM_UsdPlainAdvance)->Arg(2)->Arg(16)->Arg(128)->Arg(1024);
+
+void BM_UsdSkipAdvance(benchmark::State& state) {
+  advance_bench(state, core::StepMode::kSkipUnproductive);
+}
+BENCHMARK(BM_UsdSkipAdvance)->Arg(2)->Arg(16)->Arg(128)->Arg(1024);
 
 // The urn engine crossover behind urn::kLinearThreshold: one sample plus
 // one +1/-1 update per iteration (the USD's per-interaction urn work) on

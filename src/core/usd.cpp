@@ -59,83 +59,102 @@ pp::Configuration UsdSimulator::configuration() const {
       undecided_);
 }
 
-void UsdSimulator::adopt(int opinion) {
-  const auto idx = static_cast<std::size_t>(opinion);
-  sum_squares_ += 2 * opinions_.count(idx) + 1;
-  opinions_.add(idx, +1);
-  --undecided_;
-  if (opinions_.count(idx) == n_) winner_ = opinion;
-}
+template <StepMode Mode, typename Backend>
+void UsdSimulator::run_events(Backend& opinions, const std::uint64_t target) {
+  // The hot state lives in locals for the loop (stores into the urn's
+  // counts could otherwise alias the members) and is written back once.
+  rng::Rng rng = rng_;
+  std::uint64_t interactions = interactions_;
+  pp::Count undecided = undecided_;
+  std::uint64_t sum_squares = sum_squares_;
+  const pp::Count n = n_;
+  const double n_squared = static_cast<double>(n) * static_cast<double>(n);
 
-void UsdSimulator::flip(int opinion) {
-  const auto idx = static_cast<std::size_t>(opinion);
-  sum_squares_ -= 2 * opinions_.count(idx) - 1;
-  opinions_.add(idx, -1);
-  ++undecided_;
+  // Undecided responder adopts `opinion`; true iff that made consensus.
+  const auto adopt = [&](std::size_t opinion) {
+    const pp::Count support = opinions.count(opinion);
+    sum_squares += 2 * support + 1;
+    opinions.add(opinion, +1);
+    --undecided;
+    if (support + 1 != n) return false;
+    winner_ = static_cast<int>(opinion);
+    return true;
+  };
+  // Responder of `opinion` becomes undecided.
+  const auto flip = [&](std::size_t opinion) {
+    sum_squares -= 2 * opinions.count(opinion) - 1;
+    opinions.add(opinion, -1);
+    ++undecided;
+  };
+
+  while (interactions < target) {
+    if constexpr (Mode == StepMode::kEveryInteraction) {
+      // Sample responder and initiator as uniform agents (with
+      // replacement): position < undecided means the undecided state,
+      // otherwise the decided position maps to an opinion through the urn.
+      const std::uint64_t r = rng.bounded(n);
+      const std::uint64_t i = rng.bounded(n);
+      ++interactions;
+      if (i < undecided) continue;  // initiator undecided: never productive
+      const std::size_t initiator = opinions.find(i - undecided);
+      if (r < undecided) {
+        if (adopt(initiator)) break;
+        continue;
+      }
+      const std::size_t responder = opinions.find(r - undecided);
+      if (responder != initiator) flip(responder);
+    } else {
+      const std::uint64_t decided = n - undecided;
+      // Weights of the two productive event families, in units of
+      // n^2 * prob:
+      //   adopt: undecided responder, decided initiator  -> u * (n - u)
+      //   flip:  decided responder, differently-decided initiator
+      //          -> (n - u)^2 - r2   (Observation 6)
+      const std::uint64_t w_adopt = undecided * decided;
+      const std::uint64_t w_flip = decided * decided - sum_squares;
+      const std::uint64_t w = w_adopt + w_flip;
+      KUSD_DCHECK(w > 0);  // only zero at consensus or all-undecided
+      const double q = static_cast<double>(w) / n_squared;
+      // Skip the (geometric) run of unproductive interactions, then
+      // realize one productive interaction from the conditional law.
+      interactions += rng.geometric_failures(q) + 1;
+      if (rng.bounded(w) < w_adopt) {
+        if (adopt(opinions.sample(rng))) break;
+      } else {
+        // (responder, initiator) ~ x_j * x_l conditioned on j != l:
+        // rejection on the joint sample keeps the marginals exact.
+        std::size_t j = 0;
+        std::size_t l = 0;
+        do {
+          j = opinions.sample(rng);
+          l = opinions.sample(rng);
+        } while (j == l);
+        flip(j);
+      }
+    }
+  }
+
+  rng_ = rng;
+  interactions_ = interactions;
+  undecided_ = undecided;
+  sum_squares_ = sum_squares;
 }
 
 void UsdSimulator::step() {
   KUSD_DCHECK(!winner_.has_value());
-  if (mode_ == StepMode::kEveryInteraction) {
-    step_plain();
-  } else {
-    step_skip();
-  }
-}
-
-void UsdSimulator::step_plain() {
-  // Sample responder and initiator as uniform agents (with replacement):
-  // position < undecided_ means the undecided state, otherwise the decided
-  // position maps to an opinion through the urn.
-  const std::uint64_t r = rng_.bounded(n_);
-  const std::uint64_t i = rng_.bounded(n_);
-  ++interactions_;
-  const bool responder_undecided = r < undecided_;
-  const bool initiator_undecided = i < undecided_;
-  if (initiator_undecided) return;  // initiator undecided: never productive
-  const int initiator_opinion =
-      static_cast<int>(opinions_.find(i - undecided_));
-  if (responder_undecided) {
-    adopt(initiator_opinion);
-    return;
-  }
-  const int responder_opinion =
-      static_cast<int>(opinions_.find(r - undecided_));
-  if (responder_opinion != initiator_opinion) flip(responder_opinion);
-}
-
-void UsdSimulator::step_skip() {
-  const std::uint64_t decided = n_ - undecided_;
-  // Weights of the two productive event families, in units of n^2 * prob:
-  //   adopt: undecided responder, decided initiator  -> u * (n - u)
-  //   flip:  decided responder, differently-decided initiator
-  //          -> (n - u)^2 - r2   (Observation 6)
-  const std::uint64_t w_adopt = undecided_ * decided;
-  const std::uint64_t w_flip = decided * decided - sum_squares_;
-  const std::uint64_t w = w_adopt + w_flip;
-  KUSD_DCHECK(w > 0);  // only zero at consensus or all-undecided
-  const double q = static_cast<double>(w) /
-                   (static_cast<double>(n_) * static_cast<double>(n_));
-  // Skip the (geometric) run of unproductive interactions, then realize one
-  // productive interaction from the conditional distribution.
-  interactions_ += rng_.geometric_failures(q) + 1;
-  if (rng_.bounded(w) < w_adopt) {
-    adopt(sample_opinion());
-  } else {
-    // (responder, initiator) ~ x_j * x_l conditioned on j != l: rejection
-    // on the joint sample keeps the marginals exact.
-    int j, l;
-    do {
-      j = sample_opinion();
-      l = sample_opinion();
-    } while (j == l);
-    flip(j);
-  }
+  advance(1);
 }
 
 void UsdSimulator::advance(std::uint64_t budget) {
+  if (is_consensus()) return;
   const std::uint64_t target = saturating_add(interactions_, budget);
-  while (!is_consensus() && interactions_ < target) step();
+  opinions_.visit([this, target](auto& opinions) {
+    if (mode_ == StepMode::kSkipUnproductive) {
+      run_events<StepMode::kSkipUnproductive>(opinions, target);
+    } else {
+      run_events<StepMode::kEveryInteraction>(opinions, target);
+    }
+  });
 }
 
 std::uint64_t UsdSimulator::default_budget() const {

@@ -11,7 +11,10 @@
 //    interaction, self-pairs allowed) but exploits USD structure: only
 //    the responder ever changes, consensus is detectable in O(1), and
 //    unproductive interactions can optionally be skipped in bulk with an
-//    exact geometric jump (StepMode::kSkipUnproductive).
+//    exact geometric jump (StepMode::kSkipUnproductive). advance()
+//    resolves the urn backend and the step mode once per call and runs
+//    one loop instantiated for that pair, with no per-event dispatch;
+//    step() is advance(1).
 #pragma once
 
 #include <cstdint>
@@ -59,7 +62,8 @@ class UsdSimulator final : public Engine {
                StepMode mode = StepMode::kEveryInteraction);
 
   /// Execute one interaction (kEveryInteraction) or one productive
-  /// interaction plus the unproductive run before it (kSkipUnproductive).
+  /// interaction plus the unproductive run before it (kSkipUnproductive):
+  /// advance(1), since each event moves the clock by at least one.
   void step();
 
   /// Steps until `budget` more interactions have elapsed or consensus; a
@@ -95,13 +99,9 @@ class UsdSimulator final : public Engine {
   [[nodiscard]] pp::Configuration configuration() const;
 
  private:
-  void step_plain();
-  void step_skip();
-  /// Sample a decided opinion proportional to its support.
-  [[nodiscard]] int sample_opinion() { return static_cast<int>(
-      opinions_.sample(rng_)); }
-  void adopt(int opinion);   // undecided responder adopts `opinion`
-  void flip(int opinion);    // responder of `opinion` becomes undecided
+  /// The event loop of advance(), for one step mode and urn backend.
+  template <StepMode Mode, typename Backend>
+  void run_events(Backend& opinions, std::uint64_t target);
 
   urn::Urn opinions_;        // k categories: decided agents by opinion
   pp::Count undecided_;

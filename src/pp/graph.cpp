@@ -80,6 +80,15 @@ InteractionGraph InteractionGraph::random_regular(std::uint32_t n, int d,
   return InteractionGraph(n, std::move(edges));
 }
 
+namespace {
+// The next candidate edge index after `idx` and a geometric gap: idx + 1 +
+// gap, saturating at the uint64 max (a saturated gap is past every edge).
+std::uint64_t next_edge_index(std::uint64_t idx, std::uint64_t gap) {
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  return gap >= kMax - idx ? kMax : idx + 1 + gap;
+}
+}  // namespace
+
 InteractionGraph InteractionGraph::erdos_renyi(std::uint32_t n, double p,
                                                rng::Rng& rng) {
   KUSD_CHECK_MSG(p > 0.0 && p <= 1.0, "edge probability out of range");
@@ -98,7 +107,7 @@ InteractionGraph InteractionGraph::erdos_renyi(std::uint32_t n, double p,
     }
     const auto v = static_cast<std::uint32_t>(u + 1 + rem);
     edges.emplace_back(u, v);
-    idx += 1 + (p < 1.0 ? rng.geometric_failures(p) : 0);
+    idx = next_edge_index(idx, p < 1.0 ? rng.geometric_failures(p) : 0);
   }
   KUSD_CHECK_MSG(!edges.empty(), "G(n,p) came out empty; increase p");
   return InteractionGraph(n, std::move(edges));

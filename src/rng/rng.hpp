@@ -10,10 +10,13 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
+
+#include "util/check.hpp"
 
 namespace kusd::rng {
 
@@ -117,7 +120,22 @@ class Rng {
 
   /// Uniform integer in [0, bound) via Lemire's multiply-shift rejection
   /// method (unbiased). bound must be positive.
-  std::uint64_t bounded(std::uint64_t bound);
+  std::uint64_t bounded(std::uint64_t bound) {
+    KUSD_DCHECK(bound > 0);
+    // Lemire's nearly-divisionless method.
+    std::uint64_t x = next_u64();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < bound) {
+      const std::uint64_t threshold = -bound % bound;
+      while (lo < threshold) {
+        x = next_u64();
+        m = static_cast<__uint128_t>(x) * bound;
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
@@ -129,8 +147,18 @@ class Rng {
   bool bernoulli(double p) { return uniform01() < p; }
 
   /// Number of failures before the first success of a Bernoulli(p) sequence
-  /// (support {0, 1, 2, ...}). Exact inversion; p must be in (0, 1].
-  std::uint64_t geometric_failures(double p);
+  /// (support {0, 1, 2, ...}). Exact inversion; p must be in (0, 1]. A
+  /// draw past the uint64 range (possible for p below about 2e-18)
+  /// saturates at the uint64 max.
+  std::uint64_t geometric_failures(double p) {
+    KUSD_CHECK_MSG(p > 0.0 && p <= 1.0, "geometric parameter out of range");
+    if (p == 1.0) return 0;
+    // Inversion: floor(log(U) / log(1-p)), U in (0,1].
+    const double u = 1.0 - uniform01();  // (0, 1]
+    const double failures = std::floor(std::log(u) / std::log1p(-p));
+    return failures < 0x1.0p64 ? static_cast<std::uint64_t>(failures)
+                               : ~std::uint64_t{0};
+  }
 
   /// Binomial(n, p) sample. Exact, via the in-repo BINV/BTRS sampler
   /// (rng/binomial.hpp); p in [0, 1]. Degenerate draws (n == 0, p == 0,

@@ -3,18 +3,22 @@
 // The population protocol schedulers never look at individual agents; the
 // configuration is a vector of counts per state, and picking a uniformly
 // random agent is sampling a category proportionally to its count. Two
-// interchangeable engines are provided:
+// interchangeable backends are provided:
 //
 //  * LinearUrn  — O(k) scan per sample; fastest for small k (cache-friendly).
 //  * FenwickUrn — O(log k) per sample and per update; wins for large k.
 //
-// Urn picks the engine at construction based on a size threshold chosen
-// from the ablation in bench_throughput.
+// Urn holds one of them in a std::variant, picked at construction by
+// kLinearThreshold (chosen from the ablation in bench_throughput). Its
+// forwarding members are inline but still branch on the backend per call;
+// a hot loop calls visit() once and runs on the concrete backend instead
+// (core::UsdSimulator::advance does).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "rng/rng.hpp"
@@ -107,33 +111,59 @@ class FenwickUrn {
 /// above. Chosen from bench_throughput (BM_UrnEngine).
 inline constexpr std::size_t kLinearThreshold = 64;
 
-/// Polymorphic-by-value urn: picks LinearUrn or FenwickUrn at construction
-/// by kLinearThreshold.
+/// Polymorphic-by-value urn: holds a LinearUrn or a FenwickUrn, picked at
+/// construction by kLinearThreshold.
 class Urn {
  public:
   explicit Urn(std::span<const std::uint64_t> counts);
 
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::uint64_t total() const;
-  [[nodiscard]] std::uint64_t count(std::size_t i) const;
-  [[nodiscard]] std::span<const std::uint64_t> counts() const;
-  [[nodiscard]] bool uses_fenwick() const { return fenwick_.has_value(); }
+  /// Call `f` with the concrete backend (LinearUrn& or FenwickUrn&).
+  template <typename F>
+  decltype(auto) visit(F&& f) {
+    return std::visit(std::forward<F>(f), backend_);
+  }
+  template <typename F>
+  decltype(auto) visit(F&& f) const {
+    return std::visit(std::forward<F>(f), backend_);
+  }
 
-  void add(std::size_t i, std::int64_t delta);
-  [[nodiscard]] std::size_t sample(rng::Rng& rng) const;
-  [[nodiscard]] std::size_t find(std::uint64_t r) const;
+  [[nodiscard]] std::size_t size() const {
+    return visit([](const auto& u) { return u.size(); });
+  }
+  [[nodiscard]] std::uint64_t total() const {
+    return visit([](const auto& u) { return u.total(); });
+  }
+  [[nodiscard]] std::uint64_t count(std::size_t i) const {
+    return visit([i](const auto& u) { return u.count(i); });
+  }
+  [[nodiscard]] std::span<const std::uint64_t> counts() const {
+    return visit([](const auto& u) { return u.counts(); });
+  }
+  [[nodiscard]] bool uses_fenwick() const {
+    return std::holds_alternative<FenwickUrn>(backend_);
+  }
+
+  void add(std::size_t i, std::int64_t delta) {
+    visit([i, delta](auto& u) { u.add(i, delta); });
+  }
+  [[nodiscard]] std::size_t sample(rng::Rng& rng) const {
+    return visit([&rng](const auto& u) { return u.sample(rng); });
+  }
+  [[nodiscard]] std::size_t find(std::uint64_t r) const {
+    return visit([r](const auto& u) { return u.find(r); });
+  }
 
   /// Move one unit from category `from` to category `to`.
   void move(std::size_t from, std::size_t to) {
     if (from == to) return;
-    add(from, -1);
-    add(to, +1);
+    visit([from, to](auto& u) {
+      u.add(from, -1);
+      u.add(to, +1);
+    });
   }
 
  private:
-  // Exactly one engaged, decided at construction.
-  std::optional<LinearUrn> linear_;
-  std::optional<FenwickUrn> fenwick_;
+  std::variant<LinearUrn, FenwickUrn> backend_;
 };
 
 }  // namespace kusd::urn

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "core/usd.hpp"
@@ -62,6 +63,22 @@ TEST(InteractionGraph, ErdosRenyiPOneIsComplete) {
   rng::Rng r(9);
   const auto g = InteractionGraph::erdos_renyi(50, 1.0, r);
   EXPECT_EQ(g.num_edges(), 50u * 49u / 2u);
+}
+
+TEST(InteractionGraph, ErdosRenyiTinyPIsEmpty) {
+  // P(any edge of G(1000, 1e-19)) is about 5e-14: every seed must come
+  // out empty, which erdos_renyi reports.
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    rng::Rng r(seed);
+    try {
+      (void)InteractionGraph::erdos_renyi(1000, 1e-19, r);
+      ADD_FAILURE() << "seed " << seed << " built a graph";
+    } catch (const util::CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("came out empty"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(InteractionGraph, DisconnectedDetected) {

@@ -152,6 +152,21 @@ TEST(Rng, GeometricWithPOneIsZero) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(r.geometric_failures(1.0), 0u);
 }
 
+TEST(Rng, GeometricSaturatesAtTinyP) {
+  // At p = 1e-19 most draws of floor(log U / log1p(-p)) lie past 2^64:
+  // they must saturate, not wrap or come back as 0.
+  rng::Rng r(3);
+  std::uint64_t smallest = ~std::uint64_t{0};
+  std::uint64_t largest = 0;
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t g = r.geometric_failures(1e-19);
+    smallest = std::min(smallest, g);
+    largest = std::max(largest, g);
+  }
+  EXPECT_GT(smallest, 0u);
+  EXPECT_EQ(largest, ~std::uint64_t{0});
+}
+
 TEST(Rng, GeometricRejectsInvalidP) {
   rng::Rng r(29);
   EXPECT_THROW(r.geometric_failures(0.0), util::CheckError);

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "rng/rng.hpp"
-#include "stats/histogram.hpp"
 #include "stats/regression.hpp"
 #include "stats/summary.hpp"
 #include "util/check.hpp"
@@ -131,28 +130,6 @@ TEST(Regression, RejectsDegenerateInput) {
   const std::vector<double> ys{1.0, 2.0};
   EXPECT_THROW(static_cast<void>(stats::loglog_fit(xs, ys)),
                util::CheckError);
-}
-
-TEST(Histogram, BinningAndClamping) {
-  stats::Histogram h(0.0, 10.0, 5);
-  h.add(0.5);    // bin 0
-  h.add(9.9);    // bin 4
-  h.add(-3.0);   // clamped to bin 0
-  h.add(42.0);   // clamped to bin 4
-  h.add(5.0);    // bin 2
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(2), 1u);
-  EXPECT_EQ(h.bin_count(4), 2u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(4), 10.0);
-}
-
-TEST(Histogram, RenderContainsBars) {
-  stats::Histogram h(0.0, 1.0, 2);
-  for (int i = 0; i < 10; ++i) h.add(0.25);
-  const std::string out = h.render(20);
-  EXPECT_NE(out.find("####"), std::string::npos);
 }
 
 }  // namespace

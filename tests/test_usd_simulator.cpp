@@ -9,6 +9,7 @@
 
 #include "core/usd.hpp"
 #include "pp/configuration.hpp"
+#include "pp/scheduler.hpp"
 #include "rng/rng.hpp"
 #include "stats/summary.hpp"
 #include "util/check.hpp"
@@ -203,6 +204,78 @@ TEST(UsdSimulator, SkipAndPlainWinnerFrequenciesAgree) {
   EXPECT_NEAR(f_plain, f_skip, 0.045);  // ~4 sigma of the difference
   EXPECT_NEAR(f_plain, 0.5, 0.04);
   EXPECT_NEAR(f_skip, 0.5, 0.04);
+}
+
+// ---- Byte pin of the exact chain ----
+
+// Order-sensitive 64-bit digest of a word sequence.
+void fold(std::uint64_t& digest, std::uint64_t word) {
+  std::uint64_t state = digest ^ word;
+  digest = rng::splitmix64(state);
+}
+
+void fold_run(std::uint64_t& digest, std::uint64_t interactions, int winner,
+              std::span<const pp::Count> counts) {
+  fold(digest, interactions);
+  fold(digest, static_cast<std::uint64_t>(winner));
+  for (pp::Count c : counts) fold(digest, c);
+}
+
+std::uint64_t simulator_digest(const Configuration& x0, StepMode mode) {
+  std::uint64_t digest = 0;
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    UsdSimulator sim(x0, rng::Rng(rng::stream_seed(31, seed)), mode);
+    EXPECT_TRUE(sim.run_to_consensus(sim.default_budget()));
+    fold_run(digest, sim.interactions(), sim.consensus_opinion(),
+             sim.opinions());
+  }
+  return digest;
+}
+
+std::uint64_t count_scheduler_digest(const Configuration& x0) {
+  const core::UsdProtocol usd(x0.k());
+  std::vector<std::uint64_t> initial(x0.opinions().begin(),
+                                     x0.opinions().end());
+  initial.push_back(x0.undecided());
+  std::uint64_t digest = 0;
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    pp::CountScheduler sched(usd, initial,
+                             rng::Rng(rng::stream_seed(32, seed)));
+    int winner = -1;
+    sched.run_until(
+        [&](std::span<const std::uint64_t> c) {
+          for (int i = 0; i < x0.k(); ++i) {
+            if (c[static_cast<std::size_t>(i)] == x0.n()) winner = i;
+          }
+          return winner >= 0;
+        },
+        100'000'000);
+    EXPECT_GE(winner, 0);
+    fold_run(digest, sched.steps(), winner, sched.counts());
+  }
+  return digest;
+}
+
+// Digests of (interactions, winner, final counts) over fixed seeds, recorded
+// before the exact chain's hot loop was rewritten: any change to the draw
+// sequence of either step mode, either urn backend or the generic count
+// scheduler moves one of them.
+TEST(ExactChain, TrajectoriesPinned) {
+  const auto skip = StepMode::kSkipUnproductive;
+  EXPECT_EQ(simulator_digest(Configuration::uniform(500, 2, 0), skip),
+            0xB5A204F42C31F27FULL);
+  EXPECT_EQ(simulator_digest(Configuration::uniform(2000, 8, 200), skip),
+            0x2B370BCC57510FA8ULL);
+  EXPECT_EQ(simulator_digest(Configuration::uniform(1000, 16, 0), skip),
+            0x40F8A0FC4D01A6E1ULL);
+  static_assert(100 > urn::kLinearThreshold);  // the Fenwick backend
+  EXPECT_EQ(simulator_digest(Configuration::uniform(2000, 100, 0), skip),
+            0xC19F1423221CE862ULL);
+  EXPECT_EQ(simulator_digest(Configuration::uniform(300, 3, 30),
+                             StepMode::kEveryInteraction),
+            0xC80218D89D074752ULL);
+  EXPECT_EQ(count_scheduler_digest(Configuration::uniform(200, 4, 20)),
+            0xA43709D9DEC16DA8ULL);
 }
 
 }  // namespace
