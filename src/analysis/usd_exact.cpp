@@ -68,10 +68,11 @@ void solve_dense(std::vector<double>& a, std::vector<double>& b,
 
 double UsdExactSolver::state_count(pp::Count n, int k) {
   // C(n+k, k) as a running product; the partial products increase, so
-  // stopping past the limit keeps huge k from costing k iterations.
+  // stopping past the limit keeps huge k from costing k iterations. The
+  // sum is taken in double: n + i in integers wraps at n near 2^64.
   double count = 1.0;
   for (int i = 1; i <= k && count <= kMaxStates; ++i) {
-    count *= static_cast<double>(n + static_cast<pp::Count>(i)) /
+    count *= (static_cast<double>(n) + static_cast<double>(i)) /
              static_cast<double>(i);
   }
   return count;

@@ -1,5 +1,7 @@
 #include "runner/csv.hpp"
 
+#include <stdexcept>
+
 #include "pp/trajectory.hpp"
 #include "util/check.hpp"
 
@@ -24,7 +26,8 @@ std::string escape(const std::string& cell) {
 CsvWriter::CsvWriter(const std::string& path,
                      const std::vector<std::string>& header)
     : out_(path), width_(header.size()) {
-  KUSD_CHECK_MSG(out_.good(), "cannot open CSV output file: " + path);
+  // An unwritable path is an I/O failure, not a broken invariant.
+  if (!out_.good()) throw std::runtime_error("cannot open " + path);
   write_cells(header);
 }
 

@@ -11,7 +11,8 @@ namespace kusd::runner {
 
 class CsvWriter {
  public:
-  /// Opens (truncates) `path` and writes the header row.
+  /// Opens (truncates) `path` and writes the header row; throws
+  /// std::runtime_error("cannot open <path>") when it cannot.
   CsvWriter(const std::string& path, const std::vector<std::string>& header);
 
   void write_row(const std::vector<std::string>& cells);

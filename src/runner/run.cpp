@@ -5,6 +5,7 @@
 #include "core/bias.hpp"
 #include "core/budget.hpp"
 #include "pp/configuration.hpp"
+#include "runner/sweep.hpp"
 #include "sim/registry.hpp"
 
 namespace kusd::runner {
@@ -14,9 +15,15 @@ RunResult run_usd(const pp::Configuration& initial, std::uint64_t seed,
   RunResult result;
   result.initial_plurality = initial.argmax();
 
+  // The topology is realized here, as the sweep realizes it, so an
+  // edgeless realization is an InputError naming --graph.
+  const PointTopology topology =
+      realize_topology(options.engine, options.graph, initial.n(), seed);
   sim::EngineOptions engine_options;
   engine_options.batch = options.batch;
   engine_options.graph = options.graph;
+  if (topology.graph) engine_options.shared_graph = &*topology.graph;
+  if (topology.degrees) engine_options.shared_degrees = &*topology.degrees;
   const auto engine = sim::Registry::instance().create(
       options.engine, initial, seed, engine_options);
 

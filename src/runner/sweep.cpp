@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
@@ -63,37 +64,6 @@ struct TrialOutcome {
   bool plurality_won = false;
 };
 
-pp::Configuration build_config(const SweepSpec& spec, const SweepPoint& p) {
-  // Round (not truncate) so a fraction built from an absolute count
-  // round-trips exactly: (u / n) * n == u.
-  const auto undecided = static_cast<pp::Count>(std::llround(
-      spec.undecided_fraction * static_cast<double>(p.n)));
-  if (p.start.kind == StartProfile::Kind::kGeometric) {
-    // Validated upfront: geometric starts only combine with kNone.
-    return pp::Configuration::geometric(p.n, p.k, undecided, p.start.ratio);
-  }
-  switch (spec.bias_kind) {
-    case BiasKind::kNone:
-      return pp::Configuration::uniform(p.n, p.k, undecided);
-    case BiasKind::kAdditive:
-      return pp::Configuration::with_additive_bias(
-          p.n, p.k, undecided, static_cast<pp::Count>(p.bias));
-    case BiasKind::kMultiplicative:
-      return pp::Configuration::with_multiplicative_bias(p.n, p.k, undecided,
-                                                         p.bias);
-  }
-  KUSD_CHECK_MSG(false, "unreachable bias kind");
-}
-
-/// The point's realized topology, in whichever representation its engine
-/// runs on, plus the summary the output schema records.
-struct PointTopology {
-  std::optional<pp::InteractionGraph> graph;
-  std::optional<pp::DegreeClassModel> degrees;
-  std::optional<std::uint64_t> edges;
-  std::optional<bool> connected;
-};
-
 sim::EngineOptions engine_options(const SweepSpec& spec,
                                   const SweepPoint& point,
                                   const PointTopology& topology) {
@@ -108,31 +78,6 @@ sim::EngineOptions engine_options(const SweepSpec& spec,
     }
   }
   return options;
-}
-
-/// Realize the point's shared topology (graph-axis engines only): one
-/// deterministic construction per grid point, reused read-only by every
-/// trial regardless of thread placement. Aggregated engines
-/// (EngineInfo::aggregated_topology) get a degree-class model — never a
-/// materialized edge set, which is exactly what their n >= 1e8 sweeps
-/// cannot afford — with the summary columns computed analytically.
-PointTopology realize_topology(const SweepPoint& point,
-                               std::uint64_t point_seed) {
-  PointTopology out;
-  if (!point.graph.has_value()) return out;
-  const sim::EngineInfo* info = sim::Registry::instance().find(point.engine);
-  rng::Rng topology_rng(rng::stream_seed(point_seed, sim::kTopologyStream));
-  if (info != nullptr && info->aggregated_topology) {
-    out.degrees = sim::degree_class_model(*point.graph, point.n, topology_rng);
-    out.edges = static_cast<std::uint64_t>(
-        std::llround(out.degrees->expected_edges()));
-    out.connected = !out.degrees->has_isolated_vertices();
-  } else {
-    out.graph = sim::build_graph(*point.graph, point.n, topology_rng);
-    out.edges = out.graph->num_edges();
-    out.connected = out.graph->is_connected();
-  }
-  return out;
 }
 
 /// The per-trial native-time cap of this point — what run_one passes to
@@ -209,107 +154,208 @@ struct PointState {
   util::Stopwatch watch;
 };
 
+[[noreturn]] void reject(const std::string& message) {
+  throw InputError(message);
+}
+
+/// A number as the user would type it: whole values without a fraction.
+std::string num(double x) {
+  if (x == std::floor(x) && std::fabs(x) < 9007199254740992.0) {
+    return std::to_string(static_cast<long long>(x));
+  }
+  char buffer[32];
+  std::snprintf(buffer, sizeof buffer, "%g", x);
+  return buffer;
+}
+
+/// The undecided agents of a point at population n (validated spec).
+pp::Count undecided_at(const SweepSpec& spec, pp::Count n) {
+  // Round (not truncate) so a fraction built from an absolute count
+  // round-trips exactly: (u / n) * n == u.
+  return spec.undecided.value_or(static_cast<pp::Count>(
+      std::llround(spec.undecided_fraction * static_cast<double>(n))));
+}
+
+void validate_graph(const sim::GraphSpec& graph, pp::Count n) {
+  const std::string flag = "--graph " + sim::to_string(graph) + " needs ";
+  const std::string at_n = " (n = " + std::to_string(n) + ")";
+  const auto d = static_cast<pp::Count>(graph.degree);
+  const double p = graph.edge_probability;
+  if (n < 2) reject(flag + "--n of at least 2");
+  if (graph.kind == sim::GraphSpec::Kind::kRegular && (d < 1 || d >= n)) {
+    reject(flag + "1 <= d < n" + at_n);
+  }
+  if (graph.kind == sim::GraphSpec::Kind::kRegular && n * d % 2 != 0) {
+    reject(flag + "n * d even" + at_n);
+  }
+  if (graph.kind == sim::GraphSpec::Kind::kErdosRenyi &&
+      !(p == 0.0 || (p > 0.0 && p <= 1.0))) {
+    reject(flag + "p in (0, 1] or er:auto");
+  }
+}
+
 }  // namespace
 
-Sweep::Sweep(SweepSpec spec) : spec_(std::move(spec)) {
-  KUSD_CHECK_MSG(spec_.trials >= 0, "sweep: negative trial count");
-  KUSD_CHECK_MSG(!spec_.ns.empty() && !spec_.ks.empty() &&
-                     !spec_.starts.empty() && !spec_.bias_values.empty() &&
-                     !spec_.engines.empty() && !spec_.graphs.empty(),
-                 "sweep: every axis needs at least one value");
-  KUSD_CHECK_MSG(
-      spec_.undecided_fraction >= 0.0 && spec_.undecided_fraction < 1.0,
-      "sweep: undecided fraction must be in [0, 1)");
-  KUSD_CHECK_MSG(spec_.stripe_width >= 1,
-                 "sweep: stripe_width must be at least 1");
-  // Engine constraints come from registry metadata, so the sweep needs no
-  // per-engine knowledge. Fail the whole sweep upfront rather than
-  // aborting mid-grid after other points already streamed.
+void validate_point(const SweepSpec& spec, const SweepPoint& point) {
+  if (spec.trials < 0) reject("--trials must not be negative");
+  if (spec.stripe_width < 1) reject("--stripe-width must be at least 1");
   const auto& registry = sim::Registry::instance();
+  const sim::EngineInfo* info = registry.find(point.engine);
+  if (info == nullptr) {
+    reject("unknown engine '" + point.engine +
+           "' (registered: " + registry.names_joined() + ")");
+  }
+  std::string graph_engines;
   bool any_graph_engine = false;
-  for (const auto& name : spec_.engines) {
-    const sim::EngineInfo* info = registry.find(name);
-    KUSD_CHECK_MSG(info != nullptr,
-                   "sweep: unknown engine '" + name +
-                       "' (registered: " + registry.names_joined() + ")");
-    any_graph_engine = any_graph_engine || info->uses_graph_axis;
-    KUSD_CHECK_MSG(!info->requires_decided_start ||
-                       spec_.undecided_fraction == 0.0,
-                   "sweep: engine '" + name +
-                       "' starts fully decided (undecided fraction must "
-                       "be 0)");
-    if (info->max_n != 0) {
-      for (const auto n : spec_.ns) {
-        KUSD_CHECK_MSG(n <= info->max_n,
-                       "sweep: engine '" + name + "' caps n at " +
-                           std::to_string(info->max_n));
-      }
-    }
-    KUSD_CHECK_MSG(!info->uses_chunk_options ||
-                       (spec_.batch_chunk_fraction > 0.0 &&
-                        spec_.batch_chunk_fraction <= 1.0),
-                   "sweep: batched chunk fraction must be in (0, 1]");
+  for (const auto& name : registry.names()) {
+    if (!registry.find(name)->uses_graph_axis) continue;
+    graph_engines += (graph_engines.empty() ? "" : ", ") + name;
+    any_graph_engine = any_graph_engine || std::count(spec.engines.begin(),
+                                                      spec.engines.end(), name);
   }
-  KUSD_CHECK_MSG(
-      any_graph_engine ||
-          spec_.graphs == std::vector<sim::GraphSpec>{sim::GraphSpec{}},
-      "sweep: the graph axis requires a topology-taking engine "
-      "(--engine graph or graph-batched)");
-  for (const auto& graph : spec_.graphs) {
-    if (graph.kind == sim::GraphSpec::Kind::kRegular && any_graph_engine) {
-      for (const auto n : spec_.ns) {
-        KUSD_CHECK_MSG(graph.degree >= 1 &&
-                           static_cast<pp::Count>(graph.degree) < n,
-                       "sweep: regular:<d> needs 1 <= d < n");
-        KUSD_CHECK_MSG(
-            (n * static_cast<pp::Count>(graph.degree)) % 2 == 0,
-            "sweep: regular:<d> needs n * d even at every n of the grid");
-      }
-    }
-    KUSD_CHECK_MSG(graph.kind != sim::GraphSpec::Kind::kErdosRenyi ||
-                       graph.edge_probability == 0.0 ||
-                       (graph.edge_probability > 0.0 &&
-                        graph.edge_probability <= 1.0),
-                   "sweep: er:<p> needs p in (0, 1] or er:auto");
+  if (!any_graph_engine &&
+      spec.graphs != std::vector<sim::GraphSpec>{sim::GraphSpec{}}) {
+    reject("--graph requires a topology-taking engine (" + graph_engines +
+           ")");
   }
-  for (const auto& start : spec_.starts) {
-    if (start.kind == StartProfile::Kind::kGeometric) {
-      KUSD_CHECK_MSG(start.ratio > 0.0 && start.ratio <= 1.0,
-                     "sweep: geometric start ratio must be in (0, 1]");
-      KUSD_CHECK_MSG(spec_.bias_kind == BiasKind::kNone,
-                     "sweep: geometric starts define their own support "
-                     "shape and exclude a bias axis");
+  const pp::Count n = point.n;
+  if (info->max_n != 0 && n > info->max_n) {
+    reject("--n " + std::to_string(n) + " exceeds the " + point.engine +
+           " engine's limit of " + std::to_string(info->max_n));
+  }
+  if (info->uses_chunk_options &&
+      !(spec.batch_chunk_fraction > 0.0 && spec.batch_chunk_fraction <= 1.0)) {
+    reject("--chunk " + num(spec.batch_chunk_fraction) +
+           " must be in (0, 1] for the " + point.engine + " engine");
+  }
+  if (point.graph.has_value()) validate_graph(*point.graph, n);
+
+  // The undecided agents: an absolute --undecided count, or --ufrac.
+  std::string undecided_flag;
+  if (spec.undecided.has_value()) {
+    undecided_flag = "--undecided " + std::to_string(*spec.undecided);
+    if (spec.ns.size() != 1 || spec.undecided_fraction != 0.0) {
+      reject("--undecided needs a single --n and excludes --ufrac; use "
+             "--ufrac for n grids");
+    }
+    if (*spec.undecided > n) {
+      reject(undecided_flag + " exceeds --n " + std::to_string(n));
+    }
+  } else {
+    undecided_flag = "--ufrac " + num(spec.undecided_fraction);
+    if (!(spec.undecided_fraction >= 0.0 && spec.undecided_fraction < 1.0)) {
+      reject(undecided_flag + " must be in [0, 1)");
     }
   }
-  for (const double bias : spec_.bias_values) {
-    switch (spec_.bias_kind) {
-      case BiasKind::kNone:
-        break;
-      case BiasKind::kAdditive:
-        // beta is an agent count: casting a negative/huge double to
-        // pp::Count in build_config would be UB.
-        KUSD_CHECK_MSG(bias >= 0.0 && bias <= 1e18 &&
-                           bias == std::floor(bias),
-                       "sweep: additive beta must be a non-negative count");
-        break;
-      case BiasKind::kMultiplicative:
-        KUSD_CHECK_MSG(std::isfinite(bias) && bias > 1.0,
-                       "sweep: multiplicative alpha must exceed 1");
-        break;
+  const pp::Count decided = n - undecided_at(spec, n);
+  if (decided == 0) {
+    reject(undecided_flag + " leaves no decided agent at n = " +
+           std::to_string(n) +
+           "; an all-undecided population never converges");
+  }
+  if (decided != n && info->requires_decided_start) {
+    reject("the " + point.engine + " engine requires " +
+           undecided_flag.substr(0, undecided_flag.find(' ')) + " 0");
+  }
+
+  if (point.start.kind == StartProfile::Kind::kGeometric &&
+      spec.bias_kind != BiasKind::kNone) {
+    reject("--start " + to_string(point.start) +
+           " shapes its own support and excludes --bias " +
+           to_string(spec.bias_kind));
+  }
+  if (spec.bias_kind != BiasKind::kNone && point.k < 2) {
+    reject(std::string("--bias ") + to_string(spec.bias_kind) +
+           " needs --k of at least 2");
+  }
+  const double bias = point.bias;
+  const auto d = static_cast<double>(decided);
+  if (spec.bias_kind == BiasKind::kAdditive) {
+    if (!(bias >= 0.0 && bias == std::floor(bias))) {
+      reject("--beta " + num(bias) + " must be a whole number of agents");
+    }
+    if (bias > d) {
+      reject("--beta " + num(bias) + " exceeds the " +
+             std::to_string(decided) + " decided agents");
+    }
+  } else if (spec.bias_kind == BiasKind::kMultiplicative) {
+    if (!(std::isfinite(bias) && bias > 1.0)) {
+      reject("--alpha must exceed 1 (got " + num(bias) + ")");
+    }
+    // Every minority opinion needs at least one agent:
+    // floor(decided / (alpha + k - 1)) >= 1.
+    if (d < bias + static_cast<double>(point.k - 1)) {
+      reject("--alpha " + num(bias) + " over --k " + std::to_string(point.k) +
+             " needs at least alpha + k - 1 decided agents (have " +
+             std::to_string(decided) + ")");
     }
   }
-  // Construct every grid point's initial configuration once now, so any
-  // infeasible (n, k, start, bias) combination (e.g. beta exceeding the
-  // decided agents of the smallest n) fails here instead of mid-grid.
-  for (const auto& point : grid()) {
-    const auto config = build_config(spec_, point);
-    // Configuration itself allows decided == 0, but no engine converges
-    // from it (an undecided fraction can round up to the whole population
-    // at small n).
-    KUSD_CHECK_MSG(config.decided() >= 1,
-                   "sweep: undecided fraction leaves no decided agents at "
-                   "n = " + std::to_string(point.n));
+}
+
+PointTopology realize_topology(const std::string& engine,
+                               const sim::GraphSpec& graph, pp::Count n,
+                               std::uint64_t seed) {
+  PointTopology out;
+  const sim::EngineInfo* info = sim::Registry::instance().find(engine);
+  if (info == nullptr || !info->uses_graph_axis) return out;
+  rng::Rng topology_rng(rng::stream_seed(seed, sim::kTopologyStream));
+  bool empty = false;
+  if (info->aggregated_topology) {
+    // Aggregated engines get a degree-class model — never a
+    // materialized edge set, which is exactly what their n >= 1e8 sweeps
+    // cannot afford — with the summary columns computed analytically.
+    out.degrees = sim::degree_class_model(graph, n, topology_rng);
+    out.edges = static_cast<std::uint64_t>(
+        std::llround(out.degrees->expected_edges()));
+    out.connected = !out.degrees->has_isolated_vertices();
+    empty = out.degrees->total_degree() == 0.0;
+  } else {
+    // validate_point has ruled out every other failure of build_graph:
+    // what is left is a G(n, p) that came out without an edge.
+    try {
+      out.graph = sim::build_graph(graph, n, topology_rng);
+      out.edges = out.graph->num_edges();
+      out.connected = out.graph->is_connected();
+    } catch (const util::CheckError&) {
+      empty = true;
+    }
   }
+  if (empty) {
+    reject("--graph " + sim::to_string(graph) + " realized no edge at n = " +
+           std::to_string(n) + "; raise p");
+  }
+  return out;
+}
+
+Sweep::Sweep(SweepSpec spec) : spec_(std::move(spec)) {
+  const auto points = grid();
+  KUSD_CHECK_MSG(!points.empty(), "sweep: every axis needs at least one value");
+  // Validate and build every grid point's initial configuration now, so
+  // an infeasible (engine, graph, n, k, start, bias) combination fails
+  // here instead of mid-grid after other points already streamed.
+  for (const auto& point : points) {
+    validate_point(spec_, point);
+    (void)initial_configuration(point);
+  }
+}
+
+pp::Configuration Sweep::initial_configuration(const SweepPoint& p) const {
+  const pp::Count undecided = undecided_at(spec_, p.n);
+  if (p.start.kind == StartProfile::Kind::kGeometric) {
+    // Validated: geometric starts only combine with kNone.
+    return pp::Configuration::geometric(p.n, p.k, undecided, p.start.ratio);
+  }
+  switch (spec_.bias_kind) {
+    case BiasKind::kNone:
+      return pp::Configuration::uniform(p.n, p.k, undecided);
+    case BiasKind::kAdditive:
+      return pp::Configuration::with_additive_bias(
+          p.n, p.k, undecided, static_cast<pp::Count>(p.bias));
+    case BiasKind::kMultiplicative:
+      return pp::Configuration::with_multiplicative_bias(p.n, p.k, undecided,
+                                                         p.bias);
+  }
+  KUSD_CHECK_MSG(false, "unreachable bias kind");
 }
 
 std::vector<SweepPoint> Sweep::grid() const {
@@ -417,8 +463,13 @@ void Sweep::run_points_on(
   const auto init_point = [&](const SweepPoint& point, PointState& st) {
     st.watch.reset();
     st.point_seed = rng::stream_seed(spec_.master_seed, point.index);
-    st.topology = realize_topology(point, st.point_seed);
-    st.x0 = build_config(spec_, point);
+    // One deterministic topology per grid point, shared read-only by every
+    // trial regardless of thread placement.
+    if (point.graph.has_value()) {
+      st.topology = realize_topology(point.engine, *point.graph, point.n,
+                                     st.point_seed);
+    }
+    st.x0 = initial_configuration(point);
     st.outcomes.resize(trials);
     if (st.topology.connected.has_value() && !*st.topology.connected &&
         spec_.max_time == 0 && !starts_at_consensus(*st.x0)) {

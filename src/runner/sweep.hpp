@@ -68,8 +68,11 @@
 
 #include "core/chunk_controller.hpp"
 #include "pp/configuration.hpp"
+#include "pp/degree_classes.hpp"
+#include "pp/graph.hpp"
 #include "sim/graph_spec.hpp"
 #include "stats/summary.hpp"
+#include "util/check.hpp"
 #include "util/thread_pool.hpp"
 
 namespace kusd::runner {
@@ -115,6 +118,9 @@ struct SweepSpec {
   std::vector<sim::GraphSpec> graphs = {sim::GraphSpec{}};
   /// Fraction of agents starting undecided (sync requires 0).
   double undecided_fraction = 0.0;
+  /// Absolute undecided count instead of the fraction (`--undecided`):
+  /// single-n grids only, with undecided_fraction left at 0.
+  std::optional<pp::Count> undecided;
   /// Per-trial cap in the engine's native time unit; 0 picks each
   /// engine's default budget. The defaults are tuned for complete-graph
   /// dynamics — slow-mixing topologies (e.g. `--graph cycle`) need an
@@ -150,6 +156,39 @@ struct SweepPoint {
   std::size_t index = 0;
 };
 
+/// An invalid user input. The message names the kusd flag that set it;
+/// derived from util::CheckError, so callers that catch library check
+/// failures catch it too.
+class InputError : public util::CheckError {
+ public:
+  using util::CheckError::CheckError;
+};
+
+/// The one check of user input for a simulated point: every rule that
+/// ties the spec's fields, the point's engine (registry metadata), its
+/// topology, start and bias together. Throws InputError naming the flag.
+/// The Sweep constructor runs it for every grid point; `kusd run` and
+/// `trace` are one-point sweeps, so they run it too.
+void validate_point(const SweepSpec& spec, const SweepPoint& point);
+
+/// A point's realized topology, in whichever representation its engine
+/// runs on, plus the summary the output schema records. Empty for
+/// engines without a graph axis.
+struct PointTopology {
+  std::optional<pp::InteractionGraph> graph;
+  std::optional<pp::DegreeClassModel> degrees;
+  std::optional<std::uint64_t> edges;
+  std::optional<bool> connected;
+};
+
+/// Realize the topology `engine` runs `graph` on at population n, from
+/// the topology stream of `seed` — the stream the engine itself would
+/// use. A realization without a single edge (a sparse er:<p>) throws
+/// InputError naming --graph: only building the topology can tell.
+[[nodiscard]] PointTopology realize_topology(const std::string& engine,
+                                             const sim::GraphSpec& graph,
+                                             pp::Count n, std::uint64_t seed);
+
 /// Aggregate of one grid point's trial batch.
 struct SweepCell {
   SweepPoint point;
@@ -183,6 +222,10 @@ class Sweep {
   /// The grid in output order: engine-major, then graph, n, k, start,
   /// bias.
   [[nodiscard]] std::vector<SweepPoint> grid() const;
+
+  /// The initial configuration of a grid point.
+  [[nodiscard]] pp::Configuration initial_configuration(
+      const SweepPoint& point) const;
 
   /// Run one grid point (trials in parallel) and aggregate it. The second
   /// form reuses an existing worker pool, as run() does across the grid.

@@ -423,7 +423,11 @@ std::uint64_t sweep_digest(const Sweep& sweep) {
   fnv.u64(spec.master_seed);
   fnv.u64(static_cast<std::uint64_t>(spec.trials));
   fnv.str(to_string(spec.bias_kind));
-  fnv.real(spec.undecided_fraction);
+  // An --undecided count hashes as the fraction it stands for.
+  fnv.real(spec.undecided.has_value()
+               ? static_cast<double>(*spec.undecided) /
+                     static_cast<double>(spec.ns.front())
+               : spec.undecided_fraction);
   fnv.u64(spec.max_time);
   fnv.real(spec.batch_chunk_fraction);
   fnv.u64(static_cast<std::uint64_t>(spec.batch_policy));
@@ -520,10 +524,11 @@ void run_sweep_service(
       options.shard.count >= 1 && options.shard.index < options.shard.count,
       "sweep service: invalid shard (want 0 <= index < count)");
   const bool resuming = !options.resume_path.empty();
-  KUSD_CHECK_MSG(!resuming || options.journal_path.empty() ||
-                     options.journal_path == options.resume_path,
-                 "sweep service: --resume appends to the resumed journal; "
-                 "--journal must be absent or name the same file");
+  if (resuming && !options.journal_path.empty() &&
+      options.journal_path != options.resume_path) {
+    throw InputError("--resume appends to the resumed journal; --journal "
+                     "must be absent or name the same file");
+  }
 
   const std::size_t points_total = sweep.grid().size();
   const ShardRange range = shard_range(points_total, options.shard);

@@ -12,38 +12,40 @@
 //   exact     exact win probability / expected time (small n, k)
 //
 // Examples:
-//   kusd run --n 100000 --k 8
 //   kusd run --n 65536 --k 4 --bias additive --beta 3000 --seed 7
-//   kusd sweep --n 32768 --k 8 --bias multiplicative --alpha 2 --trials 50
 //   kusd sweep --n 1e5,1e6 --k 8,32 --engine skip,batched,gossip
 //        --trials 20 --out sweep.csv --json sweep.jsonl
 //   kusd sweep --n 1e5 --k 2,4,8 --shard 0/3 --journal shard0.journal
-//        --out shard0.csv
-//   kusd sweep --resume shard0.journal --n 1e5 --k 2,4,8 --shard 0/3
-//        --out shard0.csv
 //   kusd merge --inputs shard0.journal,shard1.journal,shard2.journal
 //        --out sweep.csv
-//   kusd trace --n 100000 --k 8 --out trace.csv
 //   kusd exact --n 12 --k 3 --support 6,4,2
-#include <algorithm>
+//
+// Every flag is one row of kFlags: its value kind, its default in each
+// subcommand that accepts it, its range and its help line. One parser
+// walks argv against the table, the usage text is generated from it, and
+// the contract-sync lint holds docs/sweep.md to it. The rules that tie
+// flags together live in runner::validate_point: `run` and `trace` are
+// one-point sweeps, so every simulated point is checked by the same code.
+#include <array>
+#include <bit>
 #include <cerrno>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <map>
 #include <optional>
-#include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "analysis/usd_exact.hpp"
-#include "runner/run.hpp"
 #include "pp/configuration.hpp"
 #include "pp/trajectory.hpp"
 #include "runner/csv.hpp"
+#include "runner/run.hpp"
 #include "runner/sweep.hpp"
 #include "runner/sweep_service.hpp"
 #include "runner/table.hpp"
@@ -53,304 +55,379 @@ namespace {
 
 using namespace kusd;
 
-// The registry names whose engines take a `--graph` topology, joined for
-// error messages ("graph, graph-batched" with the builtins).
-std::string graph_engine_names() {
-  const auto& registry = sim::Registry::instance();
-  std::string names;
-  for (const auto& name : registry.names()) {
-    if (!registry.find(name)->uses_graph_axis) continue;
-    if (!names.empty()) names += ", ";
-    names += name;
+enum Command { kRun, kSweep, kMerge, kTrace, kExact, kCommands };
+constexpr std::array<const char*, kCommands> kCommandNames = {
+    "run", "sweep", "merge", "trace", "exact"};
+
+/// What a flag's value, or each item of a list, must be.
+enum class Kind {
+  kCount,  ///< a whole number in [lo, hi]; scientific notation ok ("1e6")
+  kReal,   ///< a finite number
+  kBool,   ///< 1/true/yes/on or 0/false/no/off
+  kSpec,   ///< text its subcommand parses, spelled as the help line says
+  kPath,   ///< a file name
+};
+using enum Kind;
+
+constexpr std::uint64_t kMaxCount = std::numeric_limits<std::uint64_t>::max();
+constexpr unsigned kSweepList = 1U << kSweep;
+constexpr const char* kNo = nullptr;
+
+struct Flag {
+  const char* name;
+  Kind kind;
+  /// Default as typed, per subcommand in Command order: kNo when the
+  /// subcommand does not accept the flag, "" when it has no default.
+  std::array<const char*, kCommands> defaults;
+  /// Bit (1 << Command) per subcommand that reads a comma list.
+  unsigned lists;
+  const char* help;
+  std::uint64_t lo = 0;
+  std::uint64_t hi = kMaxCount;
+  /// "flag=value" that must hold whenever this flag is given.
+  const char* needs = nullptr;
+};
+
+// The flag table.  name, kind, defaults in run/sweep/merge/trace/exact,
+// list-reading subcommands, help, then the range of a count.
+const Flag kFlags[] = {
+    {"n", kCount, {"100000", "100000", kNo, "100000", "12"}, kSweepList,
+     "population size", 1},
+    {"k", kCount, {"8", "8", kNo, "8", "2"}, kSweepList, "number of opinions",
+     1, std::uint64_t{1} << 30},
+    {"undecided", kCount, {"0", "", kNo, "0", kNo}, 0,
+     "agents starting undecided (sweep: one --n, no --ufrac)"},
+    {"ufrac", kReal, {kNo, "0", kNo, kNo, kNo}, 0,
+     "fraction of agents starting undecided"},
+    {"seed", kCount, {"1", "1", kNo, "1", kNo}, 0,
+     "seed; every output byte is a function of (flags, seed)"},
+    {"bias", kSpec, {"none", "none", kNo, "none", kNo}, 0,
+     "bias kind: none|additive|multiplicative"},
+    {"beta", kReal, {"n/100", "n/100", kNo, "n/100", kNo}, kSweepList,
+     "additive bias in agents", 0, kMaxCount, "bias=additive"},
+    {"alpha", kReal, {"2", "2", kNo, "2", kNo}, kSweepList,
+     "multiplicative bias, above 1", 0, kMaxCount, "bias=multiplicative"},
+    {"engine", kSpec, {"skip", "skip", kNo, kNo, kNo}, kSweepList,
+     "registry engine name"},
+    {"graph", kSpec, {"complete", "complete", kNo, kNo, kNo}, kSweepList,
+     "graph-engine topology: complete|cycle|regular:<d>|er:<p>|er:auto"},
+    {"start", kSpec, {kNo, "uniform", kNo, kNo, kNo}, kSweepList,
+     "initial support: uniform|geometric:<ratio>"},
+    {"budget", kCount, {kNo, "0", kNo, kNo, kNo}, 0,
+     "per-trial cap in native time units (0: engine default)"},
+    {"trials", kCount, {kNo, "25", kNo, kNo, kNo}, 0,
+     "Monte-Carlo trials per grid point", 0, 1'000'000'000},
+    {"threads", kCount, {kNo, "0", kNo, kNo, kNo}, 0,
+     "worker threads (0: hardware concurrency)", 0, 65536},
+    {"chunk", kReal, {kNo, "0.02", kNo, kNo, kNo}, 0,
+     "fixed-policy chunk fraction of the batched engines"},
+    {"chunk-policy", kSpec, {kNo, "fixed", kNo, kNo, kNo}, 0,
+     "chunk policy of the batched engines: fixed|adaptive"},
+    {"stripe-width", kCount, {kNo, "8", kNo, kNo, kNo}, 0,
+     "trials per work-stealing unit", 0, 1'000'000'000},
+    {"shuffle-points", kBool, {kNo, "0", kNo, kNo, kNo}, 0,
+     "run points in a shuffled order; output is unchanged"},
+    {"shard", kSpec, {kNo, "0/1", kNo, kNo, kNo}, 0,
+     "grid block I of N to run: I/N with 0 <= I < N"},
+    {"journal", kPath, {kNo, "", kNo, kNo, kNo}, 0,
+     "checkpoint every cell to this journal"},
+    {"resume", kPath, {kNo, "", kNo, kNo, kNo}, 0,
+     "replay this journal's cells and append the rest"},
+    {"out", kPath, {kNo, "", "", "kusd_trace.csv", kNo}, 0, "CSV output"},
+    {"json", kPath, {kNo, "", "", kNo, kNo}, 0, "JSON-lines output"},
+    {"inputs", kPath, {kNo, kNo, "", kNo, kNo}, 1U << kMerge,
+     "shard journals to merge"},
+    {"support", kCount, {kNo, kNo, kNo, kNo, ""}, 1U << kExact,
+     "initial opinion counts, exactly k (default uniform)"},
+};
+
+const Flag* find_flag(const std::string& name) {
+  for (const Flag& flag : kFlags) {
+    if (name == flag.name) return &flag;
   }
-  return names;
+  return nullptr;
+}
+
+/// "100000 (exact: 12)": the first subcommand's default, then each one
+/// that differs; "" when no subcommand has a default.
+std::string default_text(const Flag& flag) {
+  std::string first;
+  std::string extra;
+  for (int c = 0; c < kCommands; ++c) {
+    if (flag.defaults[c] == nullptr) continue;
+    const std::string value =
+        *flag.defaults[c] != '\0' ? flag.defaults[c] : "none";
+    if (first.empty()) {
+      first = value;
+    } else if (value != first) {
+      extra += (extra.empty() ? " (" : "; ") + std::string(kCommandNames[c]) +
+               ": " + value;
+    }
+  }
+  if (!extra.empty()) return first + extra + ")";
+  return first == "none" ? "" : first;
 }
 
 [[noreturn]] void usage(int exit_code = 2) {
-  // Engines come from the registry, so a newly registered engine shows up
-  // here without touching the CLI.
-  const std::string engines = sim::Registry::instance().names_joined();
-  std::fprintf(
-      exit_code == 0 ? stdout : stderr,
-      "usage: kusd <run|sweep|merge|trace|exact> [options]\n"
-      "  common:  --n N --k K (counts take scientific notation)\n"
-      "           --undecided U --seed S (run, trace, sweep)\n"
-      "  bias:    --bias none|additive|multiplicative [--beta B | --alpha A]\n"
-      "  engines: %s\n"
-      "  run:     --engine NAME [--graph SPEC]\n"
-      "  sweep:   grid axes take comma lists (scientific notation ok):\n"
-      "           --n N1,N2,... --k K1,... --engine NAME[,...]\n"
-      "           --graph complete|cycle|regular:<d>|er:<p>|er:auto[,...]\n"
-      "             (topology axis; requires a graph engine: graph = exact\n"
-      "             per-edge, graph-batched = degree-aggregated for huge n)\n"
-      "           --start uniform|geometric:<ratio>[,...]\n"
-      "           [--beta B1,... | --alpha A1,...] --trials T --ufrac F\n"
-      "           --budget B (per-trial native-time cap; 0 = engine default,\n"
-      "             raise it for slow topologies like --graph cycle)\n"
-      "           --threads W --chunk F --chunk-policy fixed|adaptive\n"
-      "           --stripe-width T (trials per work-stealing unit)\n"
-      "           --shuffle-points 0|1 (shuffled execution order;\n"
-      "             output order and bytes are unaffected)\n"
-      "           --shard I/N (run grid block I of N; shard outputs\n"
-      "             concatenate to the unsharded output byte-for-byte)\n"
-      "           --journal FILE (checkpoint each cell; survives kills)\n"
-      "           --resume FILE (replay a journal's cells, compute the\n"
-      "             rest, append to the same journal; same flags required)\n"
-      "           --out FILE.csv --json FILE.jsonl\n"
-      "  merge:   --inputs J1,J2,... (shard journals; validated: same\n"
-      "             sweep digest, every shard once, complete, no gaps)\n"
-      "           --out FILE.csv --json FILE.jsonl\n"
-      "  trace:   --out FILE.csv\n"
-      "  exact:   --support x1,x2,...  (n <= ~20, small k)\n",
-      engines.c_str());
+  std::FILE* out = exit_code == 0 ? stdout : stderr;
+  std::fprintf(out,
+               "usage: kusd <run|sweep|merge|trace|exact> [--flag value]...\n"
+               "  engines: %s\n"
+               "  counts take scientific notation (1e6); * marks a comma "
+               "list\n",
+               sim::Registry::instance().names_joined().c_str());
+  for (const Flag& flag : kFlags) {
+    std::string commands;
+    for (int c = 0; c < kCommands; ++c) {
+      if (flag.defaults[c] == nullptr) continue;
+      commands += std::string(" ") + kCommandNames[c] +
+                  ((flag.lists >> c) & 1U ? "*" : "");
+    }
+    const std::string fallback = default_text(flag);
+    std::fprintf(out, "  --%-15s%-24s %s%s%s\n", flag.name, commands.c_str(),
+                 flag.help, fallback.empty() ? "" : "; default ",
+                 fallback.c_str());
+  }
   std::exit(exit_code);
 }
 
-// Strict number parsing for every subcommand: a typo'd value must fail
-// loudly, not run a different experiment.
-double parse_number_or_usage(const std::string& item) {
+std::vector<std::string> split_list(const std::string& spec) {
+  std::vector<std::string> items;
+  std::size_t pos = 0;
+  while (pos <= spec.size()) {
+    std::size_t next = spec.find(',', pos);
+    if (next == std::string::npos) next = spec.size();
+    if (next > pos) items.push_back(spec.substr(pos, next - pos));
+    pos = next + 1;
+  }
+  return items;
+}
+
+std::optional<double> parse_real(const std::string& item) {
   char* end = nullptr;
   const double value = std::strtod(item.c_str(), &end);
-  if (end == item.c_str() || *end != '\0') {
-    std::fprintf(stderr, "cannot parse number '%s'\n", item.c_str());
-    usage();
+  if (end == item.c_str() || *end != '\0' || !std::isfinite(value)) {
+    return std::nullopt;
   }
   return value;
 }
 
-std::uint64_t parse_u64_or_usage(const std::string& item) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value =
-      item.empty() || item[0] == '-'
-          ? 0
-          : std::strtoull(item.c_str(), &end, 10);
-  if (end == nullptr || end == item.c_str() || *end != '\0' ||
-      errno == ERANGE) {
-    std::fprintf(stderr, "cannot parse integer '%s'\n", item.c_str());
-    usage();
-  }
-  return value;
-}
-
-// Counts accept scientific notation ("1e6") for ergonomic large-n runs.
 // A plain decimal integer is read exactly over the whole u64 range; any
 // other form goes through a double and is capped at 2^53, beyond which
 // the round-trip silently rounds the literal — exactly the quiet size
 // drift this parser rejects.
-pp::Count parse_count_or_usage(const std::string& item) {
-  if (item.find_first_not_of("0123456789") == std::string::npos) {
-    const std::uint64_t value = parse_u64_or_usage(item);
-    if (value >= 1) return value;
-  } else {
-    const double value = parse_number_or_usage(item);
-    if (value >= 1.0 && value <= 9007199254740992.0 &&
-        value == std::floor(value)) {
-      return static_cast<pp::Count>(value);
+std::optional<std::uint64_t> parse_count(const std::string& item) {
+  if (!item.empty() &&
+      item.find_first_not_of("0123456789") == std::string::npos) {
+    errno = 0;
+    const unsigned long long value = std::strtoull(item.c_str(), nullptr, 10);
+    if (errno == ERANGE) return std::nullopt;
+    return value;
+  }
+  const auto value = parse_real(item);
+  if (!value || !(*value >= 0.0 && *value <= 9007199254740992.0) ||
+      *value != std::floor(*value)) {
+    return std::nullopt;
+  }
+  return static_cast<std::uint64_t>(*value);
+}
+
+std::optional<bool> parse_bool(const std::string& v) {
+  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
+  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
+  return std::nullopt;
+}
+
+std::string bound_text(std::uint64_t x) {
+  const int log = std::countr_zero(x);
+  if (x >= (std::uint64_t{1} << 20) && x == std::uint64_t{1} << log) {
+    return "2^" + std::to_string(log);
+  }
+  return std::to_string(x);
+}
+
+/// Why `value` does not fit `flag` in subcommand `c`, or "".
+std::string value_problem(const Flag& flag, Command c,
+                          const std::string& value) {
+  const std::string name = std::string("--") + flag.name;
+  const bool list = ((flag.lists >> c) & 1U) != 0;
+  const auto items = list ? split_list(value) : std::vector{value};
+  if (items.empty()) return name + " needs at least one value";
+  for (const auto& item : items) {
+    if (flag.kind == Kind::kCount) {
+      const auto count = parse_count(item);
+      if (!count) {
+        return name + ": count '" + item +
+               "' out of range or not an integer";
+      }
+      if (*count < flag.lo || *count > flag.hi) {
+        return flag.hi == kMaxCount
+                   ? name + " must be at least " + std::to_string(flag.lo)
+                   : name + " must be in [" + std::to_string(flag.lo) +
+                         ", " + bound_text(flag.hi) + "]";
+      }
+    } else if (flag.kind == Kind::kReal && !parse_real(item)) {
+      return name + ": '" + item + "' is not a finite number";
+    } else if (flag.kind == Kind::kBool && !parse_bool(item)) {
+      return name + ": cannot parse boolean '" + item + "'";
     }
   }
-  std::fprintf(stderr, "count '%s' out of range or not an integer\n",
-               item.c_str());
-  usage();
+  return "";
 }
 
 struct Args {
-  std::string command;
-  std::map<std::string, std::string> options;
+  Command command = kRun;
+  std::map<std::string, std::string> given;
 
-  [[nodiscard]] std::uint64_t get_u64(const std::string& key,
-                                      std::uint64_t fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : parse_u64_or_usage(it->second);
+  [[nodiscard]] bool has(const std::string& name) const {
+    return given.count(name) != 0;
   }
-  [[nodiscard]] pp::Count get_count(const std::string& key,
-                                    pp::Count fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : parse_count_or_usage(it->second);
+  /// The value given, or the table's default for this subcommand.
+  [[nodiscard]] std::string value(const std::string& name) const {
+    const auto it = given.find(name);
+    if (it != given.end()) return it->second;
+    const char* fallback = find_flag(name)->defaults[command];
+    KUSD_CHECK_MSG(fallback != nullptr, "kusd: --" + name + " is not a " +
+                                            kCommandNames[command] +
+                                            " flag");
+    return fallback;
   }
-  [[nodiscard]] double get_double(const std::string& key,
-                                  double fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback
-                               : parse_number_or_usage(it->second);
+  /// The comma list, or the single value, of a flag.
+  [[nodiscard]] std::vector<std::string> items(const std::string& name) const {
+    if (((find_flag(name)->lists >> command) & 1U) != 0) {
+      return split_list(value(name));
+    }
+    return {value(name)};
   }
-  [[nodiscard]] std::string get_string(const std::string& key,
-                                       const std::string& fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : it->second;
+  /// Each item through `parse`. The walk checked counts, reals and
+  /// bools; a spec item its parser rejects is a usage error naming the
+  /// flag.
+  template <class Parse>
+  [[nodiscard]] auto parsed(const std::string& name, Parse parse) const {
+    std::vector<typename decltype(parse(std::string{}))::value_type> out;
+    for (const auto& item : items(name)) {
+      const auto value = parse(item);
+      if (!value) {
+        std::fprintf(stderr, "--%s: bad value '%s' (%s)\n", name.c_str(),
+                     item.c_str(), find_flag(name)->help);
+        usage();
+      }
+      out.push_back(*value);
+    }
+    return out;
   }
-  [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const {
-    const auto it = options.find(key);
-    if (it == options.end()) return fallback;
-    const std::string& v = it->second;
-    if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
-    if (v == "0" || v == "false" || v == "no" || v == "off") return false;
-    std::fprintf(stderr, "cannot parse boolean '%s' for --%s\n", v.c_str(),
-                 key.c_str());
-    usage();
+  [[nodiscard]] std::uint64_t count(const std::string& name) const {
+    return parsed(name, parse_count).front();
   }
 };
 
+/// Walk argv against the table. Every problem is reported, each naming
+/// its flag, before the usage error (exit 2).
 Args parse(int argc, char** argv) {
   if (argc < 2) usage();
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h" || (i == 1 && arg == "help")) {
+      usage(0);
+    }
+  }
   Args args;
-  args.command = argv[1];
-  if (args.command == "--help" || args.command == "-h" ||
-      args.command == "help") {
-    usage(0);
+  const std::string command = argv[1];
+  int c = 0;
+  while (c < kCommands && command != kCommandNames[c]) ++c;
+  if (c == kCommands) {
+    std::fprintf(stderr, "unknown subcommand '%s'\n", command.c_str());
+    usage();
   }
-  const auto is_help = [](const char* arg) {
-    return std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0;
+  args.command = static_cast<Command>(c);
+  bool ok = true;
+  const auto fail = [&ok](const std::string& message) {
+    std::fprintf(stderr, "%s\n", message.c_str());
+    ok = false;
   };
-  for (int i = 2; i < argc; i += 2) {
-    if (is_help(argv[i])) usage(0);
-    if (std::strncmp(argv[i], "--", 2) != 0 || i + 1 >= argc) usage();
-    if (is_help(argv[i + 1])) usage(0);
-    args.options[argv[i] + 2] = argv[i + 1];
+  for (int i = 2; i < argc;) {
+    const std::string arg = argv[i++];
+    if (arg.rfind("--", 0) != 0) {
+      fail("unexpected argument '" + arg + "'");
+      continue;
+    }
+    if (i >= argc) {
+      fail(arg + " needs a value");
+      break;
+    }
+    const std::string value = argv[i++];
+    const Flag* flag = find_flag(arg.substr(2));
+    if (flag == nullptr || flag->defaults[c] == nullptr) {
+      fail("unknown " + command + " option " + arg);
+    } else if (!args.given.emplace(flag->name, value).second) {
+      fail(arg + " given twice");
+    } else if (const auto problem = value_problem(*flag, args.command, value);
+               !problem.empty()) {
+      fail(problem);
+    }
   }
+  for (const auto& [name, value] : args.given) {
+    const char* needs = find_flag(name)->needs;
+    if (needs == nullptr) continue;
+    const std::string rule = needs;
+    const std::size_t eq = rule.find('=');
+    if (args.value(rule.substr(0, eq)) != rule.substr(eq + 1)) {
+      fail("--" + name + " requires --" + rule.substr(0, eq) + " " +
+           rule.substr(eq + 1));
+    }
+  }
+  if (!ok) usage();
   return args;
 }
 
-// Unknown keys must fail, not be dropped: `--trails 500` running the
-// default 25 trials for hours is worse than an error. Every subcommand
-// passes its own `known` set. A bias-value flag must also match the bias
-// kind.
-void reject_unknown_options(const Args& args,
-                            const std::set<std::string>& known) {
-  const std::string bias_kind = args.get_string("bias", "none");
-  for (const auto& [key, value] : args.options) {
-    if (known.count(key) == 0) {
-      std::fprintf(stderr, "unknown %s option --%s\n", args.command.c_str(),
-                   key.c_str());
-      usage();
-    }
-    if ((key == "beta" && bias_kind != "additive") ||
-        (key == "alpha" && bias_kind != "multiplicative")) {
-      std::fprintf(stderr, "--%s requires --bias %s\n", key.c_str(),
-                   key == "beta" ? "additive" : "multiplicative");
-      usage();
-    }
+std::optional<runner::BiasKind> parse_bias(const std::string& name) {
+  for (const auto kind : {runner::BiasKind::kNone, runner::BiasKind::kAdditive,
+                          runner::BiasKind::kMultiplicative}) {
+    if (name == runner::to_string(kind)) return kind;
   }
+  return std::nullopt;
 }
 
-// The population flags are validated before any Configuration factory
-// sees them, so a bad value is a usage error naming the flag rather than
-// an internal check failure.
-int get_k(const Args& args, std::uint64_t fallback) {
-  const std::uint64_t k = args.get_u64("k", fallback);
-  if (k < 1 || k > (std::uint64_t{1} << 30)) {
-    std::fprintf(stderr, "--k must be in [1, 2^30]\n");
-    usage();
+/// The flags `run`, `trace` and `sweep` share, as a sweep spec: `run` and
+/// `trace` are one-point sweeps.
+runner::SweepSpec population_spec(const Args& args) {
+  runner::SweepSpec spec;
+  spec.ns = args.parsed("n", parse_count);
+  spec.ks.clear();
+  for (const auto k : args.parsed("k", parse_count)) {
+    spec.ks.push_back(static_cast<int>(k));
   }
-  return static_cast<int>(k);
-}
-
-// The registry entry of --engine NAME, or a usage error.
-const sim::EngineInfo& engine_or_usage(const std::string& name) {
-  const sim::EngineInfo* info = sim::Registry::instance().find(name);
-  if (info == nullptr) {
-    std::fprintf(stderr, "unknown engine '%s'\n", name.c_str());
-    usage();
+  if (!args.value("undecided").empty()) {
+    spec.undecided = args.count("undecided");
   }
-  return *info;
-}
-
-// The start configuration of `run`/`trace`, validated against the engine
-// that will run it: every input the Configuration factories or the engine
-// constructor would reject is a usage error naming its flag here.
-pp::Configuration build_config(const Args& args, const std::string& engine) {
-  const sim::EngineInfo& info = engine_or_usage(engine);
-  const pp::Count n = args.get_count("n", 100000);
-  if (info.max_n != 0 && n > info.max_n) {
-    std::fprintf(stderr, "--n %llu exceeds the %s engine's limit of %llu\n",
-                 static_cast<unsigned long long>(n), engine.c_str(),
-                 static_cast<unsigned long long>(info.max_n));
-    usage();
+  spec.master_seed = args.count("seed");
+  spec.bias_kind = args.parsed("bias", parse_bias).front();
+  if (spec.bias_kind == runner::BiasKind::kAdditive) {
+    // The table's "n/100": a share of the first population size.
+    spec.bias_values =
+        args.has("beta") ? args.parsed("beta", parse_real)
+                         : std::vector{static_cast<double>(spec.ns.front() /
+                                                           100)};
+  } else if (spec.bias_kind == runner::BiasKind::kMultiplicative) {
+    spec.bias_values = args.parsed("alpha", parse_real);
   }
-  const int k = get_k(args, 8);
-  const pp::Count u = args.get_u64("undecided", 0);
-  if (u > n) {
-    std::fprintf(stderr, "--undecided %llu exceeds --n %llu\n",
-                 static_cast<unsigned long long>(u),
-                 static_cast<unsigned long long>(n));
-    usage();
+  if (args.command == kTrace) {
+    spec.engines = {"skip"};  // the exact chain records the trajectory
+  } else {
+    spec.engines = args.items("engine");
+    spec.graphs = args.parsed("graph", sim::parse_graph_spec);
   }
-  if (u == n) {
-    std::fprintf(stderr,
-                 "--undecided %llu leaves no decided agent; an all-undecided "
-                 "population never converges\n",
-                 static_cast<unsigned long long>(u));
-    usage();
-  }
-  if (u != 0 && info.requires_decided_start) {
-    std::fprintf(stderr, "the %s engine requires --undecided 0\n",
-                 engine.c_str());
-    usage();
-  }
-  const pp::Count decided = n - u;
-  const std::string bias = args.get_string("bias", "none");
-  if (bias == "none") return pp::Configuration::uniform(n, k, u);
-  if (bias != "additive" && bias != "multiplicative") usage();
-  if (k < 2) {
-    std::fprintf(stderr, "--bias %s needs --k of at least 2\n",
-                 bias.c_str());
-    usage();
-  }
-  if (bias == "additive") {
-    const pp::Count beta = args.get_u64("beta", n / 100);
-    if (beta > decided) {
-      std::fprintf(stderr, "--beta %llu exceeds the %llu decided agents\n",
-                   static_cast<unsigned long long>(beta),
-                   static_cast<unsigned long long>(decided));
-      usage();
-    }
-    return pp::Configuration::with_additive_bias(n, k, u, beta);
-  }
-  const double alpha = args.get_double("alpha", 2.0);
-  if (!(alpha > 1.0)) {
-    std::fprintf(stderr, "--alpha must exceed 1\n");
-    usage();
-  }
-  // Every minority opinion needs at least one agent:
-  // floor(decided / (alpha + k - 1)) >= 1.
-  if (static_cast<double>(decided) < alpha + static_cast<double>(k - 1)) {
-    std::fprintf(stderr,
-                 "--alpha %g over --k %d needs at least alpha + k - 1 "
-                 "decided agents (have %llu)\n",
-                 alpha, k, static_cast<unsigned long long>(decided));
-    usage();
-  }
-  return pp::Configuration::with_multiplicative_bias(n, k, u, alpha);
+  return spec;
 }
 
 int cmd_run(const Args& args) {
-  static const std::set<std::string> known = {
-      "n", "k", "undecided", "seed", "bias", "beta", "alpha", "engine",
-      "graph"};
-  reject_unknown_options(args, known);
+  const runner::Sweep sweep(population_spec(args));
+  const runner::SweepPoint point = sweep.grid().front();
   runner::RunOptions opts;
-  opts.engine = args.get_string("engine", opts.engine);
-  const auto x0 = build_config(args, opts.engine);
-  const std::string graph_name = args.get_string("graph", "");
-  if (!graph_name.empty()) {
-    // Same contract as sweep: a --graph that no chosen engine reads is a
-    // mistaken experiment, not a default to ignore silently.
-    if (!engine_or_usage(opts.engine).uses_graph_axis) {
-      std::fprintf(stderr, "--graph requires a topology-taking engine (%s)\n",
-                   graph_engine_names().c_str());
-      usage();
-    }
-    const auto graph = sim::parse_graph_spec(graph_name);
-    if (!graph) {
-      std::fprintf(stderr,
-                   "bad graph spec '%s' (want complete, cycle, "
-                   "regular:<d>, er:<p> or er:auto)\n",
-                   graph_name.c_str());
-      usage();
-    }
-    opts.graph = *graph;
-  }
-  const auto result = runner::run_usd(x0, args.get_u64("seed", 1), opts);
+  opts.engine = point.engine;
+  opts.graph = point.graph.value_or(sim::GraphSpec{});
+  const auto result = runner::run_usd(sweep.initial_configuration(point),
+                                      sweep.spec().master_seed, opts);
   if (!result.converged) {
     std::printf("no consensus within the time cap (%llu native time units, "
                 "parallel time %.1f)\n",
@@ -382,217 +459,49 @@ int cmd_run(const Args& args) {
   return 0;
 }
 
-std::vector<std::string> split_list(const std::string& spec) {
-  std::vector<std::string> items;
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    std::size_t next = spec.find(',', pos);
-    if (next == std::string::npos) next = spec.size();
-    if (next > pos) items.push_back(spec.substr(pos, next - pos));
-    pos = next + 1;
-  }
-  return items;
-}
-
-std::vector<pp::Count> parse_count_list(const std::string& spec) {
-  std::vector<pp::Count> out;
-  for (const auto& item : split_list(spec)) {
-    out.push_back(parse_count_or_usage(item));
-  }
-  return out;
-}
-
-std::vector<double> parse_double_list(const std::string& spec) {
-  std::vector<double> out;
-  for (const auto& item : split_list(spec)) {
-    out.push_back(parse_number_or_usage(item));
-  }
-  return out;
-}
-
 int cmd_sweep(const Args& args) {
-  static const std::set<std::string> known = {
-      "n",      "k",     "engine", "graph",   "bias", "beta", "alpha",
-      "undecided", "ufrac", "budget", "trials", "seed", "threads",
-      "chunk", "chunk-policy", "start", "stripe-width",
-      "shuffle-points", "shard", "journal", "resume", "out", "json"};
-  reject_unknown_options(args, known);
-  const std::string bias_kind = args.get_string("bias", "none");
-
-  runner::SweepSpec spec;
-  spec.ns = parse_count_list(args.get_string("n", "100000"));
-  std::vector<int> ks;
-  for (const auto n : parse_count_list(args.get_string("k", "8"))) {
-    if (n > (std::uint64_t{1} << 30)) {
-      std::fprintf(stderr, "--k value too large\n");
-      usage();
-    }
-    ks.push_back(static_cast<int>(n));
-  }
-  spec.ks = ks;
-  if (spec.ns.empty() || spec.ks.empty()) usage();
-
-  if (bias_kind == "additive") {
-    spec.bias_kind = runner::BiasKind::kAdditive;
-    spec.bias_values = parse_double_list(
-        args.get_string("beta", std::to_string(spec.ns.front() / 100)));
-  } else if (bias_kind == "multiplicative") {
-    spec.bias_kind = runner::BiasKind::kMultiplicative;
-    spec.bias_values = parse_double_list(args.get_string("alpha", "2"));
-  } else if (bias_kind != "none") {
-    usage();
-  }
-
-  const auto& registry = sim::Registry::instance();
-  spec.engines.clear();
-  bool any_graph_engine = false;
-  for (const auto& name : split_list(args.get_string("engine", "skip"))) {
-    const sim::EngineInfo* info = registry.find(name);
-    if (info == nullptr) {
-      std::fprintf(stderr, "unknown engine '%s' (registered: %s)\n",
-                   name.c_str(), registry.names_joined().c_str());
-      usage();
-    }
-    any_graph_engine = any_graph_engine || info->uses_graph_axis;
-    spec.engines.push_back(name);
-  }
-  if (spec.engines.empty()) usage();
-
-  if (args.options.count("graph") != 0) {
-    if (!any_graph_engine) {
-      std::fprintf(stderr, "--graph requires a topology-taking engine (%s)\n",
-                   graph_engine_names().c_str());
-      usage();
-    }
-    spec.graphs.clear();
-    for (const auto& name : split_list(args.get_string("graph", ""))) {
-      const auto graph = sim::parse_graph_spec(name);
-      if (!graph) {
-        std::fprintf(stderr,
-                     "bad graph spec '%s' (want complete, cycle, "
-                     "regular:<d>, er:<p> or er:auto)\n",
-                     name.c_str());
-        usage();
-      }
-      spec.graphs.push_back(*graph);
-    }
-    if (spec.graphs.empty()) usage();
-  }
-
-  spec.starts.clear();
-  for (const auto& name : split_list(args.get_string("start", "uniform"))) {
-    const auto start = runner::parse_start_profile(name);
-    if (!start) {
-      std::fprintf(stderr,
-                   "bad start profile '%s' (want uniform or "
-                   "geometric:<ratio> with ratio in (0,1])\n",
-                   name.c_str());
-      usage();
-    }
-    spec.starts.push_back(*start);
-  }
-  if (spec.starts.empty()) usage();
-
-  {
-    // Budgets are as large as populations; accept scientific notation
-    // with the same exact-integer rule as the count axes.
-    const double budget = args.get_double("budget", 0.0);
-    if (!(budget >= 0.0 && budget <= 9007199254740992.0) ||
-        budget != std::floor(budget)) {
-      std::fprintf(stderr, "--budget out of range or not an integer\n");
-      usage();
-    }
-    spec.max_time = static_cast<std::uint64_t>(budget);
-  }
-  spec.undecided_fraction = args.get_double("ufrac", 0.0);
-  // --undecided (absolute count, shared with `run`) is honored for
-  // single-n sweeps; a count is ambiguous across an n grid.
-  if (args.options.count("undecided") != 0) {
-    if (args.options.count("ufrac") != 0 || spec.ns.size() != 1) {
-      std::fprintf(stderr,
-                   "--undecided needs a single --n and excludes --ufrac; "
-                   "use --ufrac for n grids\n");
-      usage();
-    }
-    spec.undecided_fraction =
-        static_cast<double>(args.get_u64("undecided", 0)) /
-        static_cast<double>(spec.ns.front());
-  }
-  const std::uint64_t trials = args.get_u64("trials", 25);
-  if (trials > 1'000'000'000) {
-    std::fprintf(stderr, "--trials too large\n");
-    usage();
-  }
-  spec.trials = static_cast<int>(trials);
-  spec.master_seed = args.get_u64("seed", 1);
-  const std::uint64_t threads = args.get_u64("threads", 0);
-  if (threads > 65536) {
-    std::fprintf(stderr, "--threads too large\n");
-    usage();
-  }
-  spec.threads = static_cast<std::size_t>(threads);
-  spec.batch_chunk_fraction =
-      args.get_double("chunk", spec.batch_chunk_fraction);
-  {
-    const std::string policy_name =
-        args.get_string("chunk-policy", "fixed");
-    const auto policy = core::parse_chunk_policy(policy_name);
-    if (!policy) {
-      std::fprintf(stderr, "unknown chunk policy '%s'\n",
-                   policy_name.c_str());
-      usage();
-    }
-    spec.batch_policy = *policy;
-  }
-  {
-    const std::uint64_t width =
-        args.get_u64("stripe-width", runner::SweepSpec{}.stripe_width);
-    if (width < 1 || width > 1'000'000'000) {
-      std::fprintf(stderr, "--stripe-width must be in [1, 1e9]\n");
-      usage();
-    }
-    spec.stripe_width = static_cast<std::size_t>(width);
-  }
-  spec.shuffle_points = args.get_bool("shuffle-points", false);
+  runner::SweepSpec spec = population_spec(args);
+  spec.starts = args.parsed("start", runner::parse_start_profile);
+  spec.undecided_fraction = *parse_real(args.value("ufrac"));
+  spec.max_time = args.count("budget");
+  spec.trials = static_cast<int>(args.count("trials"));
+  spec.threads = static_cast<std::size_t>(args.count("threads"));
+  spec.batch_chunk_fraction = *parse_real(args.value("chunk"));
+  spec.batch_policy =
+      args.parsed("chunk-policy", core::parse_chunk_policy).front();
+  spec.stripe_width = static_cast<std::size_t>(args.count("stripe-width"));
+  spec.shuffle_points = *parse_bool(args.value("shuffle-points"));
 
   runner::SweepServiceOptions service;
-  {
-    const std::string shard_text = args.get_string("shard", "0/1");
-    const auto shard = runner::parse_shard(shard_text);
-    if (!shard) {
-      std::fprintf(stderr,
-                   "bad shard '%s' (want I/N with 0 <= I < N)\n",
-                   shard_text.c_str());
-      usage();
-    }
-    service.shard = *shard;
-  }
-  service.journal_path = args.get_string("journal", "");
-  service.resume_path = args.get_string("resume", "");
+  service.shard = args.parsed("shard", runner::parse_shard).front();
+  service.journal_path = args.value("journal");
+  service.resume_path = args.value("resume");
   // Fault-injection switch for the CI resume-kill leg: after this many
   // computed cells (each already journaled and flushed), die the way a
   // crashed production run does — no destructors, no buffered goodbye.
   if (const char* trip_env = std::getenv("KUSD_SWEEP_TRIP_CELLS")) {
-    const std::uint64_t trip = parse_u64_or_usage(trip_env);
-    if (trip > 0) {
-      service.after_cell = [trip](std::size_t computed) {
+    const auto trip = parse_count(trip_env);
+    if (!trip) {
+      std::fprintf(stderr, "KUSD_SWEEP_TRIP_CELLS: not a count '%s'\n",
+                   trip_env);
+      usage();
+    }
+    if (*trip > 0) {
+      service.after_cell = [trip = *trip](std::size_t computed) {
         if (computed >= trip) std::raise(SIGKILL);
       };
     }
   }
 
   const runner::Sweep sweep(std::move(spec));
-  const std::string csv_path = args.get_string("out", "");
-  const std::string json_path = args.get_string("json", "");
+  const std::string csv_path = args.value("out");
+  const std::string json_path = args.value("json");
   std::optional<runner::CsvWriter> csv;
   if (!csv_path.empty()) csv.emplace(csv_path, runner::Sweep::csv_header());
   std::FILE* json = nullptr;
   if (!json_path.empty()) {
     json = std::fopen(json_path.c_str(), "w");
-    if (json == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-      return 1;
-    }
+    if (json == nullptr) throw std::runtime_error("cannot open " + json_path);
   }
 
   runner::Table table(runner::Sweep::csv_header());
@@ -649,15 +558,13 @@ int cmd_sweep(const Args& args) {
 }
 
 int cmd_merge(const Args& args) {
-  static const std::set<std::string> known = {"inputs", "out", "json"};
-  reject_unknown_options(args, known);
-  const auto inputs = split_list(args.get_string("inputs", ""));
+  const auto inputs = args.items("inputs");
   if (inputs.empty()) {
     std::fprintf(stderr, "--inputs must list at least one shard journal\n");
     usage();
   }
-  const std::string csv_path = args.get_string("out", "");
-  const std::string json_path = args.get_string("json", "");
+  const std::string csv_path = args.value("out");
+  const std::string json_path = args.value("json");
   if (csv_path.empty() && json_path.empty()) {
     std::fprintf(stderr, "merge needs --out and/or --json\n");
     usage();
@@ -703,14 +610,12 @@ int cmd_merge(const Args& args) {
 }
 
 int cmd_trace(const Args& args) {
-  static const std::set<std::string> known = {
-      "n", "k", "undecided", "seed", "bias", "beta", "alpha", "out"};
-  reject_unknown_options(args, known);
-  const std::string trace_engine = "skip";
-  const auto x0 = build_config(args, trace_engine);
-  const std::string out = args.get_string("out", "kusd_trace.csv");
+  const runner::Sweep sweep(population_spec(args));
+  const runner::SweepPoint point = sweep.grid().front();
+  const auto x0 = sweep.initial_configuration(point);
+  const std::string out = args.value("out");
   const auto engine = sim::Registry::instance().create(
-      trace_engine, x0, args.get_u64("seed", 1));
+      point.engine, x0, sweep.spec().master_seed);
   pp::Trajectory trajectory;
   engine->run_observed(engine->default_budget(),
                        std::max<pp::Count>(1, x0.n() / 64),
@@ -727,10 +632,8 @@ int cmd_trace(const Args& args) {
 }
 
 int cmd_exact(const Args& args) {
-  static const std::set<std::string> known = {"n", "k", "support"};
-  reject_unknown_options(args, known);
-  const pp::Count n = args.get_count("n", 12);
-  const int k = get_k(args, 2);
+  const pp::Count n = args.count("n");
+  const int k = static_cast<int>(args.count("k"));
   if (n < 2) {
     std::fprintf(stderr, "exact needs --n of at least 2\n");
     usage();
@@ -745,17 +648,14 @@ int cmd_exact(const Args& args) {
     usage();
   }
   std::vector<pp::Count> support;
-  const std::string spec = args.get_string("support", "");
-  if (spec.empty()) {
+  if (!args.has("support")) {
     const auto x0 = pp::Configuration::uniform(n, k, 0);
     support.assign(x0.opinions().begin(), x0.opinions().end());
   } else {
-    for (const auto& item : split_list(spec)) {
-      support.push_back(parse_u64_or_usage(item));
-    }
+    support = args.parsed("support", parse_count);
     if (static_cast<int>(support.size()) != k) {
       std::fprintf(stderr, "--support must list exactly k values\n");
-      return 2;
+      usage();
     }
   }
   // The decided agents must number 1..n (the undecided count is implied).
@@ -767,7 +667,8 @@ int cmd_exact(const Args& args) {
   }
   if (!fits || decided == 0) {
     std::fprintf(stderr, "--support %s must sum to between 1 and --n %llu\n",
-                 spec.c_str(), static_cast<unsigned long long>(n));
+                 args.value("support").c_str(),
+                 static_cast<unsigned long long>(n));
     usage();
   }
   analysis::UsdExactSolver solver(n, k);
@@ -787,11 +688,17 @@ int cmd_exact(const Args& args) {
 int main(int argc, char** argv) {
   const Args args = parse(argc, argv);
   try {
-    if (args.command == "run") return cmd_run(args);
-    if (args.command == "sweep") return cmd_sweep(args);
-    if (args.command == "merge") return cmd_merge(args);
-    if (args.command == "trace") return cmd_trace(args);
-    if (args.command == "exact") return cmd_exact(args);
+    switch (args.command) {
+      case kRun: return cmd_run(args);
+      case kSweep: return cmd_sweep(args);
+      case kMerge: return cmd_merge(args);
+      case kTrace: return cmd_trace(args);
+      case kExact: return cmd_exact(args);
+      case kCommands: break;
+    }
+  } catch (const runner::InputError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -1,14 +1,16 @@
 """Registry/docs/CLI contract sync.
 
 The engine roster lives in exactly one authoritative place —
-`register_builtin_engines` in src/sim/engines.cpp — but it is *described*
-in three more: the engine catalog table in docs/architecture.md, the
-`--engine`/`--graph` rows of docs/sweep.md, and the kusd CLI usage text.
-Nothing at compile time ties those together, so a new engine (or a
-renamed flag) silently rots the docs. This pass re-parses the C++
-registrations (comment-stripped, string literals kept) and diffs them
-against each prose surface, plus the sweep CSV schema against the
-header list in Sweep::csv_header().
+`register_builtin_engines` in src/sim/engines.cpp — and the kusd flags in
+one more, the `kFlags` table of tools/kusd_cli.cpp (whose usage text is
+generated from the table and the registry). Both are *described* in the
+docs: the engine catalog table in docs/architecture.md, and the
+`--engine`/`--graph` rows and per-subcommand flag tables of
+docs/sweep.md. Nothing at compile time ties those together, so a new
+engine or flag silently rots the docs. This pass re-parses the C++
+(comment-stripped, string literals kept) and diffs it against each prose
+surface, plus the sweep CSV schema against the header list in
+Sweep::csv_header().
 
 Codes:
   missing-doc-row      registered engine absent from the architecture.md
@@ -21,13 +23,12 @@ Codes:
   missing-doc-section  architecture.md has no "## Engine catalog" table
   sweep-doc-drift      docs/sweep.md --engine/--graph rows miss a
                        registered (graph-axis) engine name
-  cli-help-drift       kusd CLI usage text never mentions a graph-axis
-                       engine name
   schema-drift         docs/sweep.md CSV schema block differs from
                        Sweep::csv_header()
-  flag-doc-drift       a flag accepted by any subcommand's known-flags
-                       set has no `--flag` row in docs/sweep.md, or a
-                       documented row names a flag no subcommand accepts
+  flag-doc-drift       a flag a subcommand accepts has no `--flag` row
+                       in that subcommand's docs/sweep.md table, a row
+                       names a flag none of its subcommands accepts, or
+                       a row's default differs from the flag table
 """
 
 import re
@@ -52,13 +53,15 @@ CATALOG_FLAG_COLUMNS = {
     "aggregated": "aggregated_topology",
 }
 
-# Each subcommand's accepted-flag set (the reject-unknown-keys literal)
-# and the `| `--flag` | ...` option rows of docs/sweep.md. Several
-# subcommands (sweep, merge) carry their own set; all are checked.
-KNOWN_FLAGS_SET = re.compile(
-    r"std\s*::\s*set\s*<\s*std\s*::\s*string\s*>\s*known\s*=\s*\{")
-COMMAND_FN = re.compile(r"\bcmd_(\w+)\s*\(")
-FLAG_ROW = re.compile(r"^\s*\|\s*`--([\w-]+)`", re.MULTILINE)
+# The CLI flag table: the subcommand names, then one {...} row per flag
+# opening with its name and its {...} of per-subcommand defaults (a string
+# literal, or kNo when the subcommand does not accept the flag).
+COMMAND_NAMES = re.compile(r"\bkCommandNames\s*=\s*\{")
+FLAG_TABLE = re.compile(r"\bkFlags\s*\[\s*\]\s*=\s*\{")
+ROW_DEFAULTS = re.compile(r"\{([^{}]*)\}")
+FLAG_ROW = re.compile(r"`--([\w-]+)`")
+# A documented default: "100000 (`exact`: 12)" is 100000, and 12 in exact.
+OVERRIDE = re.compile(r"(\w+):\s*([^;]*)")
 
 
 def span(text: str, start: int, open_ch: str = "(",
@@ -75,10 +78,6 @@ def span(text: str, start: int, open_ch: str = "(",
     return text[start + 1:]
 
 
-def paren_span(text: str, start: int) -> str:
-    return span(text, start)
-
-
 def parse_registrations(text: str) -> list[dict]:
     """Engine registrations from comment-stripped engines.cpp text.
 
@@ -88,7 +87,7 @@ def parse_registrations(text: str) -> list[dict]:
     """
     engines = []
     for match in ADD_CALL.finditer(text):
-        call = paren_span(text, match.end() - 1)
+        call = span(text, match.end() - 1)
         name_match = STRING.search(call)
         if not name_match:
             continue
@@ -150,8 +149,8 @@ def mentions(name: str, text: str) -> bool:
 @base.register
 class ContractSyncPass(base.Pass):
     name = "contract-sync"
-    description = ("sim::Registry registrations vs the architecture.md "
-                   "engine catalog, sweep.md axes/schema, and CLI help")
+    description = ("sim::Registry registrations and the CLI flag table vs "
+                   "the architecture.md engine catalog and sweep.md")
 
     # Overridable so self-tests can point at a fixture tree.
     engines_file = "src/sim/engines.cpp"
@@ -181,7 +180,6 @@ class ContractSyncPass(base.Pass):
 
         findings += self.check_catalog(ctx, by_name)
         findings += self.check_sweep_doc(ctx, by_name)
-        findings += self.check_cli(ctx, by_name)
         findings += self.check_schema(ctx)
         findings += self.check_sweep_flags(ctx)
         return findings
@@ -232,87 +230,109 @@ class ContractSyncPass(base.Pass):
 
     def check_sweep_doc(self, ctx, by_name):
         findings = []
-        text = ctx.read(self.sweep_doc)
-        engine_row = graph_row = None
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if re.match(r"\s*\|\s*`--engine`", line):
-                engine_row = (lineno, line)
-            elif re.match(r"\s*\|\s*`--graph`", line):
-                graph_row = (lineno, line)
-        for name in sorted(by_name):
-            if engine_row and not mentions(name, engine_row[1]):
-                findings.append(base.Finding(
-                    file=self.sweep_doc, line=engine_row[0],
-                    code="sweep-doc-drift",
-                    message=f"--engine row does not list registered "
-                            f"engine '{name}'"))
-            if by_name[name]["uses_graph_axis"] and graph_row and \
-                    not mentions(name, graph_row[1]):
-                findings.append(base.Finding(
-                    file=self.sweep_doc, line=graph_row[0],
-                    code="sweep-doc-drift",
-                    message=f"--graph row does not mention graph-axis "
-                            f"engine '{name}'"))
+        lines = ctx.read(self.sweep_doc).splitlines()
+        for lineno, line in enumerate(lines, start=1):
+            for flag, wanted in (("engine", lambda e: True),
+                                 ("graph", lambda e: e["uses_graph_axis"])):
+                if not re.match(rf"\s*\|\s*`--{flag}`", line):
+                    continue
+                for name in sorted(by_name):
+                    if wanted(by_name[name]) and not mentions(name, line):
+                        findings.append(base.Finding(
+                            file=self.sweep_doc, line=lineno,
+                            code="sweep-doc-drift",
+                            message=f"--{flag} row does not mention "
+                                    f"registered engine '{name}'"))
         return findings
 
-    def check_cli(self, ctx, by_name):
-        findings = []
-        literals = cpplex.extract_string_literals(ctx.read(self.cli_file))
-        usage = " ".join(value for _, value in literals)
-        for name in sorted(by_name):
-            if by_name[name]["uses_graph_axis"] and \
-                    not mentions(name, usage):
-                findings.append(base.Finding(
-                    file=self.cli_file, line=0, code="cli-help-drift",
-                    message=f"usage text never mentions graph-axis "
-                            f"engine '{name}'"))
-        return findings
+    def parse_flag_table(self, ctx):
+        """({flag: {subcommand: default}}, subcommand names) from kFlags.
 
-    def check_sweep_flags(self, ctx):
-        """Every subcommand's accepted flags vs docs/sweep.md option rows.
-
-        Each subcommand rejects unknown keys against its own set literal
-        (cmd_sweep, cmd_merge, ...); every member of every set must have
-        a `--flag` table row in docs/sweep.md and every documented row
-        must name a flag some subcommand accepts, so a new flag (e.g.
-        --shard or merge's --inputs) cannot land without its
-        documentation — and a removed one cannot leave a ghost row
-        behind. Flags are attributed to the nearest enclosing cmd_*
-        function for the diagnostic.
+        A subcommand that does not accept the flag is absent from its
+        map; "" is a flag without a default.
         """
         source = cpplex.strip_comments(ctx.read(self.cli_file))
-        matches = list(KNOWN_FLAGS_SET.finditer(source))
-        if not matches:
+        names = COMMAND_NAMES.search(source)
+        table = FLAG_TABLE.search(source)
+        if not names or not table:
             raise base.UsageError(
-                f"contract-sync: no known-flags set literal "
-                f"(std::set<std::string> known = {{...}}) parsed from "
-                f"{self.cli_file}")
-        accepted = {}  # flag -> subcommand name, first set wins
-        for match in matches:
-            command = "sweep"
-            for fn in COMMAND_FN.finditer(source, 0, match.start()):
-                command = fn.group(1)
-            flags = STRING.findall(span(source, match.end() - 1, "{", "}"))
-            for flag in flags:
-                accepted.setdefault(flag, command)
-        doc = ctx.read(self.sweep_doc)
-        documented = {}
-        for row in FLAG_ROW.finditer(doc):
-            documented.setdefault(row.group(1),
-                                  doc.count("\n", 0, row.start()) + 1)
+                f"contract-sync: no kCommandNames / kFlags[] flag table "
+                f"parsed from {self.cli_file}")
+        commands = STRING.findall(span(source, names.end() - 1, "{", "}"))
+        body = span(source, table.end() - 1, "{", "}")
+        flags = {}
+        start = body.find("{")
+        while start != -1:
+            row = span(body, start, "{", "}")
+            items = ROW_DEFAULTS.search(row).group(1).split(",")
+            flags[STRING.search(row).group(1)] = {
+                command: item.strip().strip('"')
+                for command, item in zip(commands, items)
+                if STRING.fullmatch(item.strip())}
+            start = body.find("{", start + len(row) + 2)
+        return flags, commands
+
+    def check_sweep_flags(self, ctx):
+        """docs/sweep.md flag tables vs the CLI flag table.
+
+        A table belongs to the subcommands its nearest heading names. Each
+        flag a subcommand accepts needs a `--flag` row in one of that
+        subcommand's tables, each row must name a flag one of them
+        accepts, and the row's Default cell — "100000 (`exact`: 12)" for
+        defaults that differ, "—" for none — must match the table.
+        """
+        flags, commands = self.parse_flag_table(ctx)
+        documented = set()
         findings = []
-        for flag in sorted(set(accepted) - set(documented)):
-            findings.append(base.Finding(
-                file=self.sweep_doc, line=0, code="flag-doc-drift",
-                message=f"{accepted[flag]} flag '--{flag}' is accepted "
-                        f"by {self.cli_file} but has no option row in "
-                        f"{self.sweep_doc}"))
-        for flag in sorted(set(documented) - set(accepted)):
-            findings.append(base.Finding(
-                file=self.sweep_doc, line=documented[flag],
-                code="flag-doc-drift",
-                message=f"option row documents '--{flag}' but no kusd "
-                        f"subcommand accepts it"))
+
+        def drift(line, message):
+            findings.append(base.Finding(file=self.sweep_doc, line=line,
+                                         code="flag-doc-drift",
+                                         message=message))
+
+        section, columns, fenced = [], [], False
+        lines = ctx.read(self.sweep_doc).splitlines()
+        for lineno, line in enumerate(lines, start=1):
+            fenced ^= line.startswith("```")
+            if line.startswith("#") and not fenced:
+                section = [c for c in commands if mentions(c, line)]
+                continue
+            if not line.lstrip().startswith("|"):
+                columns = []
+                continue
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if not columns:
+                columns = [c.lower() for c in cells]
+                continue
+            row = FLAG_ROW.fullmatch(cells[0])
+            if not row:
+                continue
+            flag = row.group(1)
+            accepted = [c for c in section if c in flags.get(flag, {})]
+            if not accepted:
+                drift(lineno, f"option row documents '--{flag}' but no "
+                              f"kusd subcommand of its section "
+                              f"({', '.join(section) or 'none'}) accepts it")
+                continue
+            documented.update((c, flag) for c in accepted)
+            if "default" not in columns:
+                continue
+            cell = cells[columns.index("default")].replace("`", "")
+            first, _, rest = cell.partition(" (")
+            overrides = dict(OVERRIDE.findall(rest.rstrip(")")))
+            for command in accepted:
+                said = overrides.get(command, first).strip()
+                want = flags[flag][command] or "—"
+                if said != want:
+                    drift(lineno, f"--{flag} default in {command}: the "
+                                  f"docs say '{said}' but the flag table "
+                                  f"says '{want}'")
+        for flag, defaults in sorted(flags.items()):
+            for command in defaults:
+                if (command, flag) not in documented:
+                    drift(0, f"{command} flag '--{flag}' is accepted by "
+                             f"{self.cli_file} but has no option row in "
+                             f"{self.sweep_doc}")
         return findings
 
     def check_schema(self, ctx):

@@ -19,9 +19,9 @@ from pathlib import Path
 LINT_ALL = Path(__file__).resolve().parent / "lint_all.py"
 
 # A minimal, fully *consistent* contract-sync fixture: two registered
-# engines, a matching catalog table, matching sweep doc rows and CSV
-# schema, and a CLI usage string naming the graph-axis engine. Tests
-# mutate one surface at a time and assert the drift is caught.
+# engines, a matching catalog table, a CLI flag table of two subcommands
+# with matching per-subcommand doc tables, and a matching CSV schema.
+# Tests mutate one surface at a time and assert the drift is caught.
 CONTRACT_FIXTURE = {
     "src/sim/engines.cpp": """\
 #include "sim/engines.hpp"
@@ -51,13 +51,21 @@ void register_builtin_engines(Registry& registry) {
     "docs/sweep.md": """\
 # Sweep
 
-| option | values | meaning |
-|--------|--------|---------|
-| `--engine` | registry names | `alpha`, `beta` |
-| `--graph` | specs | topology axis; only `beta` |
+## `sweep` flags
+
+| Flag | Default | Meaning |
+|------|---------|---------|
+| `--engine` | `skip` | registry names: `alpha`, `beta` |
+| `--graph` | `complete` | topology axis; only `beta` |
 | `--trials` | 25 | Monte-Carlo trials per point |
-| `--inputs` | journals | merge: shard journals to combine |
-| `--out` | file | merge: CSV destination |
+| `--out` | — | CSV destination |
+
+## `merge` flags
+
+| Flag | Default | Meaning |
+|------|---------|---------|
+| `--inputs` | — | shard journals to combine |
+| `--out` | — | CSV destination |
 
 CSV header = JSONL keys:
 
@@ -74,18 +82,15 @@ std::vector<std::string> Sweep::csv_header() {
 }  // namespace kusd::runner
 """,
     "tools/kusd_cli.cpp": """\
-static const char kUsage[] =
-    "kusd sweep --engine alpha,beta --graph SPEC (beta only)\\n";
-int cmd_sweep(int argc, char** argv) {
-  static const std::set<std::string> known = {
-      "engine", "graph", "trials"};
-  return 0;
-}
-int cmd_merge(int argc, char** argv) {
-  static const std::set<std::string> known = {
-      "inputs", "out"};
-  return 0;
-}
+constexpr std::array<const char*, kCommands> kCommandNames = {
+    "sweep", "merge"};
+const Flag kFlags[] = {
+    {"engine", kSpec, {"skip", kNo}, kSweepList, "registry engine name"},
+    {"graph", kSpec, {"complete", kNo}, kSweepList, "topology"},
+    {"trials", kCount, {"25", kNo}, 0, "trials per point"},
+    {"inputs", kPath, {kNo, ""}, 1U << kMerge, "shard journals"},
+    {"out", kPath, {"", ""}, 0, "CSV output"},
+};
 """,
 }
 
@@ -468,17 +473,6 @@ class ContractSyncTest(FixtureTest):
         self.assertEqual(result.returncode, 1)
         self.assertIn("[sweep-doc-drift]", result.stderr)
 
-    def test_cli_usage_missing_graph_engine_fails(self):
-        self.write_contract_fixture(**{
-            "tools/kusd_cli.cpp":
-                'static const char kUsage[] = "kusd sweep --engine '
-                'alpha --graph SPEC\\n";\n'
-                'static const std::set<std::string> known = {\n'
-                '    "engine", "graph", "trials"};\n'})
-        result = run_lint(self.root, "--pass", "contract-sync")
-        self.assertEqual(result.returncode, 1)
-        self.assertIn("[cli-help-drift]", result.stderr)
-
     def test_missing_input_file_is_a_usage_error(self):
         self.write_contract_fixture()
         (self.root / "docs/sweep.md").unlink()
@@ -486,30 +480,32 @@ class ContractSyncTest(FixtureTest):
         self.assertEqual(result.returncode, 2)
 
     def test_accepted_flag_without_doc_row_fails(self):
-        # The acceptance case for the flag contract: teaching cmd_sweep a
-        # new flag without its docs/sweep.md row must fail the lint.
+        # The acceptance case for the flag contract: a new flag-table row
+        # without its docs/sweep.md row must fail the lint.
         self.write_contract_fixture(**{
             "tools/kusd_cli.cpp": CONTRACT_FIXTURE[
                 "tools/kusd_cli.cpp"].replace(
-                '"engine", "graph", "trials"',
-                '"engine", "graph", "trials", "progress"')})
+                "const Flag kFlags[] = {\n",
+                "const Flag kFlags[] = {\n"
+                '    {"progress", kBool, {"0", kNo}, 0, "progress"},\n')})
         result = run_lint(self.root, "--pass", "contract-sync")
         self.assertEqual(result.returncode, 1)
         self.assertIn("[flag-doc-drift]", result.stderr)
-        self.assertIn("progress", result.stderr)
+        self.assertIn("sweep flag '--progress'", result.stderr)
 
     def test_merge_flag_without_doc_row_fails(self):
-        # Every subcommand's known-set is covered, not just cmd_sweep's:
-        # a new merge flag without a doc row must fail too, attributed to
-        # the right subcommand.
+        # Every subcommand's tables are covered, not just sweep's: a flag
+        # merge gains must have a row in the merge table, even when
+        # sweep documents it already.
         self.write_contract_fixture(**{
             "tools/kusd_cli.cpp": CONTRACT_FIXTURE[
                 "tools/kusd_cli.cpp"].replace(
-                '"inputs", "out"', '"inputs", "out", "strict"')})
+                '{"trials", kCount, {"25", kNo}',
+                '{"trials", kCount, {"25", "25"}')})
         result = run_lint(self.root, "--pass", "contract-sync")
         self.assertEqual(result.returncode, 1)
         self.assertIn("[flag-doc-drift]", result.stderr)
-        self.assertIn("merge flag '--strict'", result.stderr)
+        self.assertIn("merge flag '--trials'", result.stderr)
 
     def test_ghost_flag_row_fails(self):
         self.write_contract_fixture(**{
@@ -522,14 +518,34 @@ class ContractSyncTest(FixtureTest):
         self.assertIn("[flag-doc-drift]", result.stderr)
         self.assertIn("retired", result.stderr)
 
-    def test_missing_known_flags_set_is_a_usage_error(self):
+    def test_documented_default_drift_fails(self):
+        # A docs default that differs from the flag table's fails.
         self.write_contract_fixture(**{
-            "tools/kusd_cli.cpp":
-                'static const char kUsage[] = "kusd sweep --engine '
-                'alpha,beta --graph SPEC (beta only)\\n";\n'})
+            "docs/sweep.md": CONTRACT_FIXTURE["docs/sweep.md"].replace(
+                "| `--trials` | 25 |", "| `--trials` | 30 |")})
+        result = run_lint(self.root, "--pass", "contract-sync")
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("[flag-doc-drift]", result.stderr)
+        self.assertIn("--trials default in sweep", result.stderr)
+
+    def test_per_subcommand_default_is_compared(self):
+        # "(`merge`: x)" documents merge's own default of a shared flag.
+        self.write_contract_fixture(**{
+            "docs/sweep.md": CONTRACT_FIXTURE["docs/sweep.md"].replace(
+                "| `--inputs` | — | shard journals to combine |\n"
+                "| `--out` | — |",
+                "| `--inputs` | — | shard journals to combine |\n"
+                "| `--out` | — (`merge`: out.csv) |")})
+        result = run_lint(self.root, "--pass", "contract-sync")
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("--out default in merge", result.stderr)
+
+    def test_missing_flag_table_is_a_usage_error(self):
+        self.write_contract_fixture(**{
+            "tools/kusd_cli.cpp": "int main() { return 0; }\n"})
         result = run_lint(self.root, "--pass", "contract-sync")
         self.assertEqual(result.returncode, 2)
-        self.assertIn("known-flags", result.stderr)
+        self.assertIn("flag table", result.stderr)
 
 
 if __name__ == "__main__":
