@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/round_engine.hpp"
 #include "pp/configuration.hpp"
 #include "util/check.hpp"
 
@@ -49,36 +50,7 @@ ChunkController::ChunkController(const ChunkOptions& options, pp::Count n)
 
 std::uint64_t ChunkController::propose(std::span<const pp::Count> opinions,
                                        pp::Count undecided) {
-  if (options_.policy == ChunkPolicy::kFixed) return fixed_chunk_;
-  return finalize_bound(raw_bound(opinions, undecided));
-}
-
-double ChunkController::raw_bound(std::span<const pp::Count> opinions,
-                                  pp::Count undecided) const {
-  // Per-interaction moments of every count, in closed form at the frozen
-  // configuration (rates in units of probability per interaction):
-  //   opinion j:  gains w.p. u*x_j / n^2, loses w.p. x_j*(d - x_j) / n^2
-  //   undecided:  gains w.p. sum_j x_j*(d - x_j) / n^2 = (d^2 - S2) / n^2,
-  //               loses w.p. u*d / n^2
-  // The admissible chunk is the largest m keeping both m*|mu| (drift) and
-  // m*sigma2 (fluctuation variance) within the tolerance band of every
-  // count, i.e. the standard tau-selection bound, computable in O(k).
-  const double tol = options_.adaptive.drift_tolerance;
-  const double dn = static_cast<double>(n_);
-  const double inv_n2 = 1.0 / (dn * dn);
-  const double du = static_cast<double>(undecided);
-  const double dd = dn - du;  // decided agents
-
-  double bound = static_cast<double>(max_chunk_);
-  double sum_sq = 0.0;
-  for (const pp::Count count : opinions) {
-    if (count == 0) continue;
-    const double xj = static_cast<double>(count);
-    sum_sq += xj * xj;
-    apply_band(xj, du * xj * inv_n2, xj * (dd - xj) * inv_n2, tol, bound);
-  }
-  apply_band(du, (dd * dd - sum_sq) * inv_n2, du * dd * inv_n2, tol, bound);
-  return bound;
+  return propose_classes(opinions, {&undecided, 1}, kUnitClass);
 }
 
 std::uint64_t ChunkController::propose_classes(
@@ -86,56 +58,39 @@ std::uint64_t ChunkController::propose_classes(
     std::span<const double> weights) {
   if (options_.policy == ChunkPolicy::kFixed) return fixed_chunk_;
   const std::size_t classes = undecided.size();
-  KUSD_DCHECK(classes >= 1 && weights.size() == classes &&
-              opinions.size() % classes == 0);
   const std::size_t k = opinions.size() / classes;
-
-  // Degree-weighted totals of the annealed chain: the rates below MUST
-  // mirror RoundEngine::try_async_class_chunk (in units of probability
-  // per interaction after dividing by W^2) — a divergence silently
-  // detunes the error control.
-  if (weighted_scratch_.size() < k) weighted_scratch_.resize(k);
-  double weighted_undecided = 0.0;
-  for (std::size_t j = 0; j < k; ++j) weighted_scratch_[j] = 0.0;
-  for (std::size_t c = 0; c < classes; ++c) {
-    weighted_undecided += weights[c] * static_cast<double>(undecided[c]);
-    for (std::size_t j = 0; j < k; ++j) {
-      weighted_scratch_[j] +=
-          weights[c] * static_cast<double>(opinions[c * k + j]);
-    }
-  }
-  double weighted_decided = 0.0;
-  for (std::size_t j = 0; j < k; ++j) weighted_decided += weighted_scratch_[j];
-  const double total_weight = weighted_undecided + weighted_decided;
+  events_.resize(2 * classes * k + 1);
+  rate_scratch_.resize(2 * k);
+  // Per-interaction moments of every count at the frozen configuration,
+  // read off the chain's event weights (probabilities times W^2): count
+  // (c, j) gains on adopt(c, j) and loses on flip(c, j); the undecided
+  // count of class c gains on every flip in c and loses on every adopt.
+  // The admissible chunk is the largest m keeping both m*|mu| (drift) and
+  // m*sigma2 (fluctuation variance) within the tolerance band of every
+  // count, i.e. the standard tau-selection bound, in O(classes * k).
+  const double total_weight = class_event_weights(opinions, undecided,
+                                                  weights, events_,
+                                                  rate_scratch_);
   if (total_weight <= 0.0) return finalize_bound(1.0);
   const double inv_w2 = 1.0 / (total_weight * total_weight);
   const double tol = options_.adaptive.drift_tolerance;
+  const std::size_t flip0 = classes * k;
 
   double bound = static_cast<double>(max_chunk_);
   for (std::size_t c = 0; c < classes; ++c) {
-    const double wc = weights[c];
+    double adopts = 0.0, flips = 0.0;
     for (std::size_t j = 0; j < k; ++j) {
+      const double adopt = events_[c * k + j];
+      const double flip = events_[flip0 + c * k + j];
+      adopts += adopt;
+      flips += flip;
       const pp::Count count = opinions[c * k + j];
       if (count == 0) continue;
-      const double xcj = static_cast<double>(count);
-      const double gain =
-          wc * static_cast<double>(undecided[c]) * weighted_scratch_[j] *
-          inv_w2;
-      const double loss =
-          wc * xcj * (weighted_decided - weighted_scratch_[j]) * inv_w2;
-      apply_band(xcj, gain, loss, tol, bound);
+      apply_band(static_cast<double>(count), adopt * inv_w2, flip * inv_w2,
+                 tol, bound);
     }
-  }
-  for (std::size_t c = 0; c < classes; ++c) {
-    const double wc = weights[c];
-    const double uc = static_cast<double>(undecided[c]);
-    double flips = 0.0;
-    for (std::size_t j = 0; j < k; ++j) {
-      flips += static_cast<double>(opinions[c * k + j]) *
-               (weighted_decided - weighted_scratch_[j]);
-    }
-    apply_band(uc, wc * flips * inv_w2, wc * uc * weighted_decided * inv_w2,
-               tol, bound);
+    apply_band(static_cast<double>(undecided[c]), flips * inv_w2,
+               adopts * inv_w2, tol, bound);
   }
   return finalize_bound(bound);
 }
@@ -155,18 +110,18 @@ std::uint64_t ChunkController::finalize_bound(double bound) {
   // next-step drop. Anticipation only tightens (a rising trend never
   // extends the hard error cap) and is floored at a quarter of the raw
   // bound, so one noisy estimate cannot collapse the schedule.
-  const double raw_bound = bound;
+  const double tau_bound = bound;
   if (options_.adaptive.trend_alpha > 0.0) {
-    if (has_previous_raw_bound_) {
+    if (has_previous_tau_bound_) {
       const double alpha = options_.adaptive.trend_alpha;
       trend_ = (1.0 - alpha) * trend_ +
-               alpha * (raw_bound - previous_raw_bound_);
+               alpha * (tau_bound - previous_tau_bound_);
       if (trend_ < 0.0) {
-        bound = std::max({raw_bound + trend_, 0.25 * raw_bound, 1.0});
+        bound = std::max({tau_bound + trend_, 0.25 * tau_bound, 1.0});
       }
     }
-    previous_raw_bound_ = raw_bound;
-    has_previous_raw_bound_ = true;
+    previous_tau_bound_ = tau_bound;
+    has_previous_tau_bound_ = true;
   }
 
   auto target = static_cast<std::uint64_t>(

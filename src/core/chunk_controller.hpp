@@ -4,9 +4,10 @@
 // interactions with the transition rates frozen at the chunk's starting
 // configuration. The approximation error of a chunk is governed by how far
 // the per-interaction rates drift across it, and that drift is predictable
-// in O(k) from the current counts: the expected per-interaction change of
-// every count (and its variance) is a closed-form function of
-// (x_1..x_k, u, n). ChunkController turns that prediction into a step-size
+// from the current counts: the expected per-interaction change of every
+// count (and its variance) is read off the chain's event weights
+// (core::class_event_weights, the rates RoundEngine::try_async_class_chunk
+// draws from). ChunkController turns that prediction into a step-size
 // policy:
 //
 //  * ChunkPolicy::kFixed — the PR-2 behaviour, bit-for-bit: a constant
@@ -96,24 +97,21 @@ class ChunkController {
   [[nodiscard]] const ChunkOptions& options() const { return options_; }
 
   /// Propose the next chunk length (always >= 1) for the current
-  /// configuration. O(k). Under kFixed the proposal is the constant
-  /// chunk_fraction * n; under kAdaptive it is the error bound described
-  /// in the file comment, geometrically rate-limited against the previous
-  /// proposal.
-  [[nodiscard]] std::uint64_t propose(std::span<const pp::Count> opinions,
-                                      pp::Count undecided);
-
-  /// The class-structured analogue of propose() for the annealed
-  /// degree-weighted chain (RoundEngine::try_async_class_chunk):
-  /// `opinions` is class-major (class c, opinion j at c * k + j),
-  /// `undecided` per class, `weights[c]` the per-member sampling weight of
-  /// class c. Same tau-selection band — every per-class count's predicted
-  /// drift and fluctuation stay within the tolerance — and the same
-  /// trend/growth schedule, in O(classes * k). With one class of weight 1
-  /// it computes exactly propose()'s bound.
+  /// configuration of the annealed class chain
+  /// (RoundEngine::try_async_class_chunk): `opinions` is class-major
+  /// (class c, opinion j at c * k + j), `undecided` per class, `weights[c]`
+  /// the per-member sampling weight of class c. Under kFixed the proposal
+  /// is the constant chunk_fraction * n; under kAdaptive it is the error
+  /// bound described in the file comment over every per-class count,
+  /// geometrically rate-limited against the previous proposal.
+  /// O(classes * k).
   [[nodiscard]] std::uint64_t propose_classes(
       std::span<const pp::Count> opinions, std::span<const pp::Count> undecided,
       std::span<const double> weights);
+
+  /// propose_classes for the one-class (complete-graph) chain.
+  [[nodiscard]] std::uint64_t propose(std::span<const pp::Count> opinions,
+                                      pp::Count undecided);
 
   /// Feedback from the simulator: the last chunk overshot a count and was
   /// rejected by the frozen-rate draw. Shrinks the adaptive baseline so
@@ -126,15 +124,10 @@ class ChunkController {
   [[nodiscard]] std::uint64_t max_chunk() const { return max_chunk_; }
 
  private:
-  /// The stateless tau-selection bound of propose() under kAdaptive: the
-  /// largest admissible chunk (in interactions, clamped to max_chunk) for
-  /// this configuration, before the trend/growth schedule. O(k).
-  [[nodiscard]] double raw_bound(std::span<const pp::Count> opinions,
-                                 pp::Count undecided) const;
-  /// Shared tail of the adaptive policies: trend lookahead, clamping to
+  /// Tail of the adaptive policy: trend lookahead, clamping to
   /// [min_chunk, max_chunk] and the geometric growth limit applied to a
   /// raw tau bound.
-  [[nodiscard]] std::uint64_t finalize_bound(double raw_bound);
+  [[nodiscard]] std::uint64_t finalize_bound(double bound);
   /// Tighten `bound` so drift and fluctuation of a count with the given
   /// per-interaction gain/loss rates stay inside the tolerance band.
   static void apply_band(double count, double gain, double loss, double tol,
@@ -151,10 +144,12 @@ class ChunkController {
   // EWMA of the raw bound's step-to-step change, and the previous raw
   // bound it is updated against.
   double trend_ = 0.0;
-  double previous_raw_bound_ = 0.0;
-  bool has_previous_raw_bound_ = false;
-  /// Scratch of propose_classes: k degree-weighted opinion totals.
-  std::vector<double> weighted_scratch_;
+  double previous_tau_bound_ = 0.0;
+  bool has_previous_tau_bound_ = false;
+  /// Scratch of propose_classes: the chain's event weights and
+  /// class_event_weights' own scratch.
+  std::vector<double> events_;
+  std::vector<double> rate_scratch_;
 };
 
 }  // namespace kusd::core

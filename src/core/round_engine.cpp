@@ -1,10 +1,57 @@
 #include "core/round_engine.hpp"
 
+#include <algorithm>
+
 #include "pp/configuration.hpp"
 #include "rng/rng.hpp"
 #include "util/check.hpp"
 
 namespace kusd::core {
+
+double class_event_weights(std::span<const pp::Count> opinions,
+                           std::span<const pp::Count> undecided,
+                           std::span<const double> weights,
+                           std::span<double> events,
+                           std::span<double> scratch) {
+  const std::size_t classes = undecided.size();
+  KUSD_DCHECK(classes >= 1 && weights.size() == classes &&
+              opinions.size() % classes == 0);
+  const std::size_t k = opinions.size() / classes;
+  KUSD_DCHECK(events.size() == 2 * classes * k + 1 && scratch.size() >= 2 * k);
+  // weighted[j] = X_j = sum_c w_c x_cj; others[j] = sum_c w_c (d_c - x_cj),
+  // the weight of the decided initiators that do not hold j.
+  double* const weighted = scratch.data();
+  double* const others = scratch.data() + k;
+  double total = 0.0;
+  for (std::size_t c = 0; c < classes; ++c) {
+    const pp::Count* const x = opinions.data() + c * k;
+    pp::Count decided = 0;
+    for (std::size_t j = 0; j < k; ++j) decided += x[j];
+    const double wc = weights[c];
+    total += wc * static_cast<double>(decided + undecided[c]);
+    for (std::size_t j = 0; j < k; ++j) {
+      const double wx = wc * static_cast<double>(x[j]);
+      const double wo = wc * static_cast<double>(decided - x[j]);
+      weighted[j] = c == 0 ? wx : weighted[j] + wx;
+      others[j] = c == 0 ? wo : others[j] + wo;
+    }
+  }
+  double* const adopt = events.data();
+  double* const flip = events.data() + classes * k;
+  double productive = 0.0;
+  for (std::size_t c = 0; c < classes; ++c) {
+    const double wc = weights[c];
+    const double wu = wc * static_cast<double>(undecided[c]);
+    for (std::size_t j = 0; j < k; ++j) {
+      adopt[c * k + j] = wu * weighted[j];
+      flip[c * k + j] =
+          wc * static_cast<double>(opinions[c * k + j]) * others[j];
+      productive += adopt[c * k + j] + flip[c * k + j];
+    }
+  }
+  events[2 * classes * k] = std::max(0.0, total * total - productive);
+  return total;
+}
 
 RoundEngine::RoundEngine(int k, int classes) : k_(k), classes_(classes) {
   KUSD_CHECK_MSG(k >= 1, "round engine needs at least one opinion");
@@ -13,7 +60,8 @@ RoundEngine::RoundEngine(int k, int classes) : k_(k), classes_(classes) {
                       static_cast<std::size_t>(classes) +
                   1);
   events_.resize(weights_.size());
-  weighted_counts_.resize(static_cast<std::size_t>(k));
+  rate_scratch_.resize(2 * static_cast<std::size_t>(k));
+  undecided_after_.resize(static_cast<std::size_t>(classes));
 }
 
 pp::Count RoundEngine::decided_step(std::span<const pp::Count> opinions,
@@ -75,49 +123,9 @@ pp::Count RoundEngine::adoption_step(std::span<const pp::Count> partners,
 }
 
 bool RoundEngine::try_async_chunk(std::span<pp::Count> opinions,
-                                  pp::Count& undecided, pp::Count n,
+                                  pp::Count& undecided, pp::Count /*n*/,
                                   std::uint64_t m, rng::Rng& rng) {
-  const std::size_t k = opinions.size();
-  KUSD_DCHECK(k == static_cast<std::size_t>(k_));
-  const pp::Count decided = n - undecided;
-  // Event weights in units of n^2 * probability, frozen at the current
-  // configuration: adoption of j, flip of j, and the unproductive rest.
-  const double du = static_cast<double>(undecided);
-  double productive = 0.0;
-  for (std::size_t j = 0; j < k; ++j) {
-    const double xj = static_cast<double>(opinions[j]);
-    weights_[j] = du * xj;                                       // adopt j
-    weights_[k + j] = xj * static_cast<double>(decided - opinions[j]);
-    productive += weights_[j] + weights_[k + j];
-  }
-  const double total =
-      static_cast<double>(n) * static_cast<double>(n);
-  weights_[2 * k] = std::max(0.0, total - productive);           // no-op
-  const std::span<std::uint64_t> events(events_.data(), 2 * k + 1);
-  rng.multinomial_into(
-      m, std::span<const double>(weights_.data(), events.size()), events);
-
-  // Validate before committing: a frozen-rate draw can overshoot a count.
-  std::uint64_t adopted = 0, flipped = 0;
-  for (std::size_t j = 0; j < k; ++j) {
-    if (opinions[j] + events[j] < events[k + j]) return false;
-    adopted += events[j];
-    flipped += events[k + j];
-  }
-  if (undecided + flipped < adopted) return false;
-  // The exact chain preserves decided >= 1 (a flip needs two differently-
-  // decided agents); all-undecided would be absorbing here, so a draw that
-  // flips every decided agent must also be rejected.
-  if (undecided + flipped - adopted == static_cast<std::uint64_t>(n)) {
-    return false;
-  }
-  for (std::size_t j = 0; j < k; ++j) {
-    opinions[j] += events[j];
-    opinions[j] -= events[k + j];
-  }
-  undecided += flipped;
-  undecided -= adopted;
-  return true;
+  return try_async_class_chunk(opinions, {&undecided, 1}, kUnitClass, m, rng);
 }
 
 bool RoundEngine::try_async_class_chunk(std::span<pp::Count> opinions,
@@ -128,86 +136,36 @@ bool RoundEngine::try_async_class_chunk(std::span<pp::Count> opinions,
   const std::size_t classes = static_cast<std::size_t>(classes_);
   KUSD_DCHECK(opinions.size() == k * classes);
   KUSD_DCHECK(undecided.size() == classes && weights.size() == classes);
-
-  // Degree-weighted totals: X_j^w = sum_c w_c x_{c,j}, U^w = sum_c w_c u_c,
-  // W = U^w + sum_j X_j^w. Endpoints are independently weight-proportional,
-  // so event weights live in units of W^2 * probability. NOTE: any change
-  // to these rates must be mirrored in ChunkController::propose_classes,
-  // whose tau bound is derived from exactly this model (as propose() is
-  // from try_async_chunk's).
-  double weighted_undecided = 0.0;
-  double total_weight = 0.0;
-  for (std::size_t j = 0; j < k; ++j) weighted_counts_[j] = 0.0;
-  for (std::size_t c = 0; c < classes; ++c) {
-    weighted_undecided += weights[c] * static_cast<double>(undecided[c]);
-    for (std::size_t j = 0; j < k; ++j) {
-      weighted_counts_[j] +=
-          weights[c] * static_cast<double>(opinions[c * k + j]);
-    }
+  if (class_event_weights(opinions, undecided, weights, weights_,
+                          rate_scratch_) <= 0.0) {
+    return false;  // no interacting vertices at all
   }
-  double weighted_decided = 0.0;
-  for (std::size_t j = 0; j < k; ++j) weighted_decided += weighted_counts_[j];
-  total_weight = weighted_undecided + weighted_decided;
-  if (total_weight <= 0.0) return false;  // no interacting vertices at all
+  rng.multinomial_into(m, weights_, events_);
 
-  // Event families, mirroring try_async_chunk's layout per class block:
-  // adopt(c, j) at [c*k + j], flip(c, j) at [classes*k + c*k + j], no-op
-  // last. adopt(c, j): responder (c, undecided) meets initiator of opinion
-  // j; flip(c, j): responder (c, j) meets a differently-decided initiator.
-  const std::size_t adopt0 = 0;
-  const std::size_t flip0 = classes * k;
-  double productive = 0.0;
+  // Validate before committing: a frozen-rate draw can overshoot a
+  // per-class count.
+  const std::uint64_t* const adopt = events_.data();
+  const std::uint64_t* const flip = events_.data() + classes * k;
+  std::uint64_t decided_after = 0;
   for (std::size_t c = 0; c < classes; ++c) {
-    const double wc = weights[c];
-    const double uc = static_cast<double>(undecided[c]);
-    for (std::size_t j = 0; j < k; ++j) {
-      const double xcj = static_cast<double>(opinions[c * k + j]);
-      weights_[adopt0 + c * k + j] = wc * uc * weighted_counts_[j];
-      weights_[flip0 + c * k + j] =
-          wc * xcj * (weighted_decided - weighted_counts_[j]);
-      productive +=
-          weights_[adopt0 + c * k + j] + weights_[flip0 + c * k + j];
+    std::uint64_t adopted = 0, flipped = 0;
+    for (std::size_t i = c * k; i < (c + 1) * k; ++i) {
+      if (opinions[i] + adopt[i] < flip[i]) return false;
+      adopted += adopt[i];
+      flipped += flip[i];
+      decided_after += opinions[i] + adopt[i] - flip[i];
     }
-  }
-  weights_[2 * classes * k] =
-      std::max(0.0, total_weight * total_weight - productive);  // no-op
-  const std::span<std::uint64_t> events(events_.data(), events_.size());
-  rng.multinomial_into(m, weights_, events);
-
-  // Validate before committing, exactly as in the unstructured chunk: a
-  // frozen-rate draw can overshoot a per-class count.
-  std::uint64_t total_adopted = 0, total_flipped = 0;
-  std::uint64_t total_decided = 0;
-  for (std::size_t c = 0; c < classes; ++c) {
-    std::uint64_t adopted_c = 0, flipped_c = 0;
-    for (std::size_t j = 0; j < k; ++j) {
-      if (opinions[c * k + j] + events[adopt0 + c * k + j] <
-          events[flip0 + c * k + j]) {
-        return false;
-      }
-      adopted_c += events[adopt0 + c * k + j];
-      flipped_c += events[flip0 + c * k + j];
-      total_decided += opinions[c * k + j];
-    }
-    if (undecided[c] + flipped_c < adopted_c) return false;
-    total_adopted += adopted_c;
-    total_flipped += flipped_c;
+    if (undecided[c] + flipped < adopted) return false;
+    undecided_after_[c] = undecided[c] + flipped - adopted;
   }
   // The exact chain preserves decided >= 1 globally (a flip needs a
   // differently-decided initiator); reject a draw that would leave the
   // absorbing all-undecided state.
-  if (total_decided + total_adopted == total_flipped) return false;
-  for (std::size_t c = 0; c < classes; ++c) {
-    std::uint64_t adopted_c = 0, flipped_c = 0;
-    for (std::size_t j = 0; j < k; ++j) {
-      opinions[c * k + j] += events[adopt0 + c * k + j];
-      opinions[c * k + j] -= events[flip0 + c * k + j];
-      adopted_c += events[adopt0 + c * k + j];
-      flipped_c += events[flip0 + c * k + j];
-    }
-    undecided[c] += flipped_c;
-    undecided[c] -= adopted_c;
+  if (decided_after == 0) return false;
+  for (std::size_t i = 0; i < classes * k; ++i) {
+    opinions[i] = opinions[i] + adopt[i] - flip[i];
   }
+  for (std::size_t c = 0; c < classes; ++c) undecided[c] = undecided_after_[c];
   return true;
 }
 

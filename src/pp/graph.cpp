@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <queue>
-#include <set>
 
 #include "rng/rng.hpp"
 #include "util/check.hpp"
@@ -59,9 +58,13 @@ InteractionGraph InteractionGraph::random_regular(std::uint32_t n, int d,
   for (std::uint32_t v = 0; v < n; ++v) {
     for (int i = 0; i < d; ++i) stubs.push_back(v);
   }
-  std::set<std::pair<std::uint32_t, std::uint32_t>> edge_set;
-  for (int attempt = 0; attempt < 50; ++attempt) {
-    edge_set.clear();
+  // One reused pair list per attempt; sorting and de-duplicating it gives
+  // the last attempt's edges in (u, v) order.
+  constexpr int kAttempts = 50;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+  edges.reserve(stubs.size() / 2);
+  for (int attempt = 0; attempt < kAttempts; ++attempt) {
+    edges.clear();
     rng.shuffle(std::span<std::uint32_t>(stubs));
     bool clean = true;
     for (std::size_t i = 0; i + 1 < stubs.size(); i += 2) {
@@ -71,12 +74,17 @@ InteractionGraph InteractionGraph::random_regular(std::uint32_t n, int d,
         continue;
       }
       if (u > v) std::swap(u, v);
-      if (!edge_set.emplace(u, v).second) clean = false;
+      edges.emplace_back(u, v);
     }
-    if (clean) break;  // otherwise keep the de-duplicated edge set
+    // A self-loop already rejects this pairing; only the last attempt's
+    // edges are kept, so sort only when they may be.
+    if (!clean && attempt + 1 < kAttempts) continue;
+    std::sort(edges.begin(), edges.end());
+    const auto last = std::unique(edges.begin(), edges.end());
+    if (last != edges.end()) clean = false;
+    edges.erase(last, edges.end());
+    if (clean) break;  // otherwise keep the de-duplicated edge list
   }
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges(
-      edge_set.begin(), edge_set.end());
   return InteractionGraph(n, std::move(edges));
 }
 
@@ -93,19 +101,20 @@ InteractionGraph InteractionGraph::erdos_renyi(std::uint32_t n, double p,
                                                rng::Rng& rng) {
   KUSD_CHECK_MSG(p > 0.0 && p <= 1.0, "edge probability out of range");
   std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-  // Geometric skipping over the (n choose 2) potential edges: O(#edges).
+  // Geometric skipping over the (n choose 2) potential edges.
   const std::uint64_t total = static_cast<std::uint64_t>(n) * (n - 1) / 2;
   std::uint64_t idx = p < 1.0 ? rng.geometric_failures(p) : 0;
+  // Map linear index -> (u, v), u < v: row u covers indices
+  // [row_start, row_start + n-1-u). Indices only grow, so the row and its
+  // start carry over from one edge to the next: O(n + #edges) in all.
+  std::uint32_t u = 0;
+  std::uint64_t row_start = 0;
   while (idx < total) {
-    // Map linear index -> (u, v), u < v.
-    // Row u covers indices [u*n - u*(u+1)/2, ...) of length n-1-u.
-    std::uint32_t u = 0;
-    std::uint64_t rem = idx;
-    while (rem >= static_cast<std::uint64_t>(n - 1 - u)) {
-      rem -= n - 1 - u;
+    while (idx - row_start >= static_cast<std::uint64_t>(n - 1 - u)) {
+      row_start += n - 1 - u;
       ++u;
     }
-    const auto v = static_cast<std::uint32_t>(u + 1 + rem);
+    const auto v = static_cast<std::uint32_t>(u + 1 + (idx - row_start));
     edges.emplace_back(u, v);
     idx = next_edge_index(idx, p < 1.0 ? rng.geometric_failures(p) : 0);
   }

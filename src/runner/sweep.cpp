@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -144,6 +145,8 @@ SweepCell aggregate_cell(const SweepSpec& spec, const SweepPoint& point,
 /// stripe; the outcome slots are written stripe-disjointly.
 struct PointState {
   std::once_flag once;
+  /// What init_point threw; rethrown by every stripe of the point.
+  std::exception_ptr init_error;
   std::optional<pp::Configuration> x0;
   PointTopology topology;
   std::uint64_t point_seed = 0;
@@ -492,7 +495,17 @@ void Sweep::run_points_on(
   const auto run_stripe = [&](const TaskUnit& unit) {
     const SweepPoint& point = points[unit.item];
     PointState& st = states[unit.item];
-    std::call_once(st.once, [&] { init_point(point, st); });
+    // init_point's exception is carried out of call_once, not thrown
+    // through it: libstdc++'s call_once can leave the other stripes of the
+    // point waiting forever when its callable throws.
+    std::call_once(st.once, [&] {
+      try {
+        init_point(point, st);
+      } catch (...) {
+        st.init_error = std::current_exception();
+      }
+    });
+    if (st.init_error) std::rethrow_exception(st.init_error);
     if (st.short_circuit || trials == 0) return;
     const std::size_t begin = unit.stripe * width;
     const std::size_t end = std::min(begin + width, trials);

@@ -6,16 +6,17 @@
 // stalls graph sweeps orders of magnitude below the batched engine's
 // 10^9 populations. This engine is the aggregation-over-structure escape:
 // the topology is collapsed to a pp::DegreeClassModel (a handful of
-// (degree, size) classes), vertex state to per-(class, opinion) counts,
-// and whole Theta(n)-interaction chunks advance through one multinomial
-// draw over the (state-pair x degree-class) event families
-// (core::RoundEngine::try_async_class_chunk) with chunk lengths scheduled
-// by the same error-controlled core::ChunkController the batched engine
-// uses. Chunks that overshoot a count are halved and redrawn down to
-// m = 1 — a single interaction of the annealed chain, which is always
-// exact — so near consensus the engine degrades gracefully to the exact
-// per-interaction limit of its model, the role pp::GraphScheduler plays
-// for the materialized engine.
+// (degree, size) classes), and the model is handed to
+// core::BatchedUsdSimulator, whose class-structured tau-leap is the
+// batched engine's own: the batched engine is the one-class case of this
+// one. Vertex state becomes per-(class, opinion) counts, and whole
+// Theta(n)-interaction chunks advance through one multinomial draw over
+// the (state-pair x degree-class) event families. Chunks that overshoot a
+// count are halved and redrawn down to m = 1 — a single interaction of
+// the annealed chain, which is always exact — so near consensus the
+// engine degrades gracefully to the exact per-interaction limit of its
+// model, the role pp::GraphScheduler plays for the materialized engine.
+// This class only resolves the model and reports its connectivity.
 //
 // Model and its limits. The aggregation is the *annealed* (mean-field)
 // scheduler: each interaction samples responder and initiator
@@ -42,84 +43,26 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
-#include <vector>
 
-#include "core/chunk_controller.hpp"
-#include "core/engine.hpp"
-#include "core/round_engine.hpp"
+#include "core/batched_usd.hpp"
 #include "pp/configuration.hpp"
-#include "pp/degree_classes.hpp"
-#include "rng/rng.hpp"
 #include "sim/engine.hpp"
 
 namespace kusd::sim {
 
-class BatchedGraphEngine final : public core::Engine {
+class BatchedGraphEngine final : public core::BatchedUsdSimulator {
  public:
+  /// The model is `options.shared_degrees` when set, otherwise built from
+  /// `options.graph` on the topology stream of `seed`; the trial stream
+  /// `seed` drives the class split and the dynamics.
   BatchedGraphEngine(const pp::Configuration& initial, std::uint64_t seed,
                      const EngineOptions& options);
 
-  void advance(std::uint64_t budget) override;
-  [[nodiscard]] std::span<const pp::Count> counts() const override {
-    return totals_;
-  }
-  [[nodiscard]] pp::Count undecided() const override {
-    return undecided_total_;
-  }
-  [[nodiscard]] pp::Count n() const override { return n_; }
-  [[nodiscard]] std::uint64_t elapsed() const override {
-    return interactions_;
-  }
-  [[nodiscard]] double parallel_time() const override {
-    return static_cast<double>(interactions_) / static_cast<double>(n_);
-  }
-  [[nodiscard]] bool is_consensus() const override {
-    return winner_.has_value();
-  }
-  [[nodiscard]] int consensus_opinion() const override { return *winner_; }
-  [[nodiscard]] std::uint64_t default_budget() const override;
-  [[nodiscard]] std::uint64_t default_observe_interval() const override;
   /// The aggregated notion of connectivity: a realized zero-degree class
   /// is the only disconnection an annealed model can express.
   [[nodiscard]] std::optional<bool> topology_connected() const override {
-    return !model_.has_isolated_vertices();
+    return !degree_model().has_isolated_vertices();
   }
-
-  // ---- Introspection (tests, benches) ----
-  /// Multinomial chunks drawn so far (including halved retries).
-  [[nodiscard]] std::uint64_t chunks() const { return chunks_; }
-  [[nodiscard]] const pp::DegreeClassModel& degree_model() const {
-    return model_;
-  }
-  /// Class-major per-(class, opinion) counts (classes * k entries).
-  [[nodiscard]] std::span<const pp::Count> class_counts() const {
-    return class_counts_;
-  }
-  [[nodiscard]] std::span<const pp::Count> class_undecided() const {
-    return class_undecided_;
-  }
-
- private:
-  /// Advance one chunk, clamped to `max_length` interactions (halved on
-  /// overshoot down to the always-exact m = 1).
-  void step(std::uint64_t max_length);
-  /// Recompute the k aggregated totals and the consensus flag (O(Ck)).
-  void refresh_totals();
-
-  pp::Count n_;
-  pp::DegreeClassModel model_;
-  std::vector<double> class_weights_;       // per-class degree
-  std::vector<pp::Count> class_counts_;     // classes * k, class-major
-  std::vector<pp::Count> class_undecided_;  // per class
-  std::vector<pp::Count> totals_;           // k aggregated opinion counts
-  pp::Count undecided_total_ = 0;
-  core::ChunkController controller_;
-  core::RoundEngine engine_;
-  rng::Rng rng_;
-  std::uint64_t interactions_ = 0;
-  std::uint64_t chunks_ = 0;
-  std::optional<int> winner_;
 };
 
 }  // namespace kusd::sim

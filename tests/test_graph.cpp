@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -96,6 +97,67 @@ TEST(InteractionGraph, SamplePairUsesBothOrientations) {
   EXPECT_EQ(seen.size(), 6u);  // 3 edges x 2 orientations
   for (const auto& [pair, count] : seen) {
     EXPECT_NEAR(count, 1000, 150);
+  }
+}
+
+// FNV-1a over the edge list in order: pins the exact edges a seed builds.
+std::uint64_t edge_digest(const InteractionGraph& g) {
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto mix = [&h](std::uint32_t x) {
+    for (int b = 0; b < 4; ++b) {
+      h ^= (x >> (8 * b)) & 0xFFu;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (std::size_t i = 0; i < g.num_edges(); ++i) {
+    const auto [u, v] = g.edge(i);
+    mix(u);
+    mix(v);
+  }
+  return h;
+}
+
+TEST(InteractionGraph, ErdosRenyiEdgesPinned) {
+  struct Case {
+    std::uint32_t n;
+    double p;
+    std::uint64_t seed;
+    std::size_t edges;
+    std::uint64_t digest;
+  };
+  // Recorded from the row-scan-from-zero index mapping; the carried-row
+  // mapping must build the same edges.
+  for (const Case& c :
+       {Case{2, 1.0, 1, 1, 634246865027890484ULL},
+        Case{500, 0.05, 7, 6284, 8718421828122150384ULL},
+        Case{3000, 0.004, 21, 18083, 3766055742981829068ULL},
+        Case{20000, 0.0008, 99, 160672, 3797407759965181514ULL}}) {
+    rng::Rng r(c.seed);
+    const auto g = InteractionGraph::erdos_renyi(c.n, c.p, r);
+    EXPECT_EQ(g.num_edges(), c.edges) << c.n;
+    EXPECT_EQ(edge_digest(g), c.digest) << c.n;
+  }
+}
+
+TEST(InteractionGraph, RandomRegularEdgesPinned) {
+  struct Case {
+    std::uint32_t n;
+    int d;
+    std::uint64_t seed;
+    std::size_t edges;
+    std::uint64_t digest;
+  };
+  // Recorded from the std::set-per-attempt construction; regular:8 at
+  // n = 3000 exhausts every attempt and keeps the de-duplicated last one.
+  for (const Case& c :
+       {Case{10, 3, 1, 15, 9123958197076998948ULL},
+        Case{200, 4, 5, 400, 6678452041650106437ULL},
+        Case{3000, 8, 21, 11984, 5390598682648820606ULL},
+        Case{20000, 4, 99, 40000, 13162335356708330905ULL}}) {
+    rng::Rng r(c.seed);
+    const auto g = InteractionGraph::random_regular(c.n, c.d, r);
+    EXPECT_EQ(g.num_edges(), c.edges) << c.n;
+    EXPECT_EQ(edge_digest(g), c.digest) << c.n;
   }
 }
 

@@ -130,6 +130,52 @@ TEST(RoundEngine, AsyncChunkNeverLeavesZeroDecided) {
   EXPECT_TRUE(saw_reject);
 }
 
+// ---- The class chain's event weights on each side of 2^53 ----
+
+TEST(ClassEventWeights, UnitClassFlipWeightIsExactOnEachSideOf2To53) {
+  // counts {n - 2, 2}, no undecided: the majority flips on meeting one of
+  // the two minority agents, weight (n - 2) * 2. Above 2^53, n - 2 and n
+  // round to the same double, so only an integer difference keeps it.
+  for (const int e : {50, 60}) {
+    const Count n = Count{1} << e;
+    const std::vector<Count> opinions = {n - 2, 2};
+    const std::vector<Count> undecided = {0};
+    std::vector<double> events(5), scratch(4);
+    const double total = core::class_event_weights(
+        opinions, undecided, core::kUnitClass, events, scratch);
+    EXPECT_EQ(total, static_cast<double>(n)) << e;
+    EXPECT_EQ(events[0], 0.0) << e;  // no undecided: no adoption
+    EXPECT_EQ(events[1], 0.0) << e;
+    EXPECT_EQ(events[2], static_cast<double>(n - 2) * 2) << e;
+    EXPECT_EQ(events[3], 2 * static_cast<double>(n - 2)) << e;
+  }
+}
+
+TEST(ClassEventWeights, FlipWeightsDoNotCancelAcrossClasses) {
+  // Weighted totals W_d - X_j lose the minority entirely at 2^60:
+  // double(2^60 - 2) + 2 == double(2^60 - 2), so that form gives the
+  // majority a flip weight of 0. Per-class integer differences keep it.
+  const Count big = (Count{1} << 60) - 2;
+  const std::vector<Count> opinions = {big, 0,   // class 0
+                                       0, 2};    // class 1
+  const std::vector<Count> undecided = {0, 0};
+  const std::vector<double> weights = {1.0, 1.0};
+  std::vector<double> events(9), scratch(4);
+  (void)core::class_event_weights(opinions, undecided, weights, events,
+                                  scratch);
+  EXPECT_EQ(events[4], static_cast<double>(big) * 2);  // flip(0, 0)
+  EXPECT_EQ(events[7], 2 * static_cast<double>(big));  // flip(1, 1)
+
+  // Where W_d - X_j does not vanish it can still be off by the rounding
+  // of the majority: {2^60 - 100, 100} gives 128 in place of 100.
+  const Count majority = (Count{1} << 60) - 100;
+  const std::vector<Count> one_class = {majority, 100};
+  std::vector<double> unit_events(5);
+  (void)core::class_event_weights(one_class, std::vector<Count>{0},
+                                  core::kUnitClass, unit_events, scratch);
+  EXPECT_EQ(unit_events[2], static_cast<double>(majority) * 100);
+}
+
 // ---- Exactness vs literal per-agent round simulations ----
 
 /// Per-agent synchronized USD (the idealized process of Section 1.2):
